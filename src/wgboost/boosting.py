@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .directions import DirectionKind, compute_direction
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .evaluate import Standardization, predictive_nll_categorical, predictive_nll_normal
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
@@ -74,6 +76,70 @@ class BoostConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1]")
+
+
+class Setting(NamedTuple):
+    """One boost setting: its flat key, where it lives in BoostConfig, its type."""
+
+    key: str
+    group: str | None  # None for a BoostConfig field, else "kernel", "tree" or "init"
+    name: str  # the field name inside the group
+    type: type
+
+
+#: Every BoostConfig setting once.  The flat keys are the CLI's ``boost`` keys
+#: and flags (the seed is a top-level run key there) and the model JSON keys.
+SETTINGS = (
+    Setting("n_particles", None, "n_particles", int),
+    Setting("max_iterations", None, "max_iterations", int),
+    Setting("learning_rate", None, "learning_rate", float),
+    Setting("direction", None, "direction", str),
+    Setting("kernel_scale", "kernel", "scale", float),
+    Setting("max_depth", "tree", "max_depth", int),
+    Setting("min_samples_leaf", "tree", "min_samples_leaf", int),
+    Setting("min_samples_split", "tree", "min_samples_split", int),
+    Setting("subsample_fraction", None, "subsample_fraction", float),
+    Setting("init_rate", "init", "rate", float),
+    Setting("init_steps", "init", "steps", int),
+    Setting("seed", None, "seed", int),
+)
+
+#: Groups that the model JSON (format_version 1) nests by their field names;
+#: the other settings sit at the top level under their flat keys.
+_JSON_GROUPS = ("tree", "init")
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def check_type(key: str, value, kind: type | tuple) -> None:
+    """Raise ConfigError naming ``key`` unless ``value`` is of type ``kind``.
+
+    An int passes for a float; a bool passes only for a bool.
+    """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if isinstance(value, bool) and k is not bool:
+            continue
+        if isinstance(value, (int, float) if k is float else k):
+            return
+    names = " or ".join(_TYPE_NAMES[k] for k in kinds)
+    raise ConfigError(f"{key} must be {names}, got {value!r}")
+
+
+def config_from_settings(flat: dict, base: BoostConfig = BoostConfig()) -> BoostConfig:
+    """``base`` with the flat settings applied; a None value keeps the base one.
+
+    A value of the wrong type raises ConfigError, an out-of-range one ValueError.
+    """
+    groups: dict = {None: {}, "kernel": {}, "tree": {}, "init": {}}
+    for s in SETTINGS:
+        value = flat.get(s.key)
+        if value is not None:
+            check_type(s.key, value, s.type)
+            groups[s.group][s.name] = value
+    nested = {g: replace(getattr(base, g), **groups[g]) for g in ("kernel", "tree", "init")}
+    return replace(base, **groups[None], **nested)
 
 
 def task_config(task: str, **overrides) -> BoostConfig:
@@ -184,12 +250,15 @@ def fit(
     standardization: Standardization | None = None,
     label_values: list | None = None,
     threads: int = 1,
+    on_iteration: Callable[[list[RegressionTree]], None] | None = None,
 ) -> WGBoostModel:
     """Fit the full model: initializer plus max_iterations boosting rounds.
 
     ``init`` overrides the initializer with an explicit (N, d) particle set.
     ``standardization`` and ``label_values`` are carried into the model for
     prediction-time convenience; they do not affect fitting.
+    ``on_iteration``, if given, is called after every boosting round with the
+    N trees fitted in it.
     """
     X = _check_training_data(X, targets)
     rng_draw, rng_noise, rng_rows, _ = _streams(cfg.seed)
@@ -201,7 +270,7 @@ def fit(
             raise DataError(
                 f"init particles have shape {init.shape}, expected {(cfg.n_particles, targets.dim)}"
             )
-    ensembles, trace = _boost_loop(X, targets, cfg, init, rng_noise, rng_rows, threads)
+    ensembles, trace = _boost_loop(X, targets, cfg, init, rng_noise, rng_rows, threads, on_iteration)
     return WGBoostModel(
         config=cfg,
         target_family=targets.family,
@@ -325,35 +394,22 @@ def fit_with_early_stopping(
 
 
 def _config_to_dict(cfg: BoostConfig) -> dict:
-    return {
-        "n_particles": cfg.n_particles,
-        "max_iterations": cfg.max_iterations,
-        "learning_rate": cfg.learning_rate,
-        "direction": cfg.direction.value,
-        "kernel_scale": cfg.kernel.scale,
-        "tree": {
-            "max_depth": cfg.tree.max_depth,
-            "min_samples_leaf": cfg.tree.min_samples_leaf,
-            "min_samples_split": cfg.tree.min_samples_split,
-        },
-        "subsample_fraction": cfg.subsample_fraction,
-        "init": {"rate": cfg.init.rate, "steps": cfg.init.steps},
-        "seed": cfg.seed,
-    }
+    doc: dict = {}
+    for s in SETTINGS:
+        value = getattr(cfg if s.group is None else getattr(cfg, s.group), s.name)
+        if s.group in _JSON_GROUPS:
+            doc.setdefault(s.group, {})[s.name] = value
+        else:
+            doc[s.key] = value
+    return doc
 
 
 def _config_from_dict(doc: dict) -> BoostConfig:
-    return BoostConfig(
-        n_particles=doc["n_particles"],
-        max_iterations=doc["max_iterations"],
-        learning_rate=doc["learning_rate"],
-        direction=DirectionKind(doc["direction"]),
-        kernel=KernelConfig(doc["kernel_scale"]),
-        tree=TreeParams(**doc["tree"]),
-        subsample_fraction=doc["subsample_fraction"],
-        init=InitConfig(**doc["init"]),
-        seed=doc["seed"],
-    )
+    flat = {s.key: doc[s.group][s.name] if s.group in _JSON_GROUPS else doc[s.key] for s in SETTINGS}
+    try:
+        return config_from_settings(flat)
+    except ConfigError as err:
+        raise DataError(f"model config: {err}") from None
 
 
 def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
@@ -418,9 +474,13 @@ def make_classification_targets(labels, k: int | None = None) -> CategoricalTarg
 
 
 __all__ = [
+    "SETTINGS",
     "BoostConfig",
     "InitConfig",
+    "Setting",
     "WGBoostModel",
+    "check_type",
+    "config_from_settings",
     "fit",
     "fit_with_early_stopping",
     "init_particles",

@@ -19,8 +19,10 @@ import numpy as np
 
 from . import dataio, synthetic
 from .boosting import (
+    SETTINGS,
     BoostConfig,
-    InitConfig,
+    check_type,
+    config_from_settings,
     fit,
     fit_with_early_stopping,
     load_model,
@@ -41,8 +43,6 @@ from .evaluate import (
     predictive_nll_categorical,
     predictive_nll_normal,
 )
-from .kernel import KernelConfig
-from .tree import TreeParams
 
 METRIC_COLUMNS = [
     "dataset",
@@ -56,18 +56,15 @@ METRIC_COLUMNS = [
     "wall_clock_s",
 ]
 
-_BOOST_KEYS = {
-    "n_particles",
-    "max_iterations",
-    "learning_rate",
-    "direction",
-    "kernel_scale",
-    "max_depth",
-    "min_samples_leaf",
-    "min_samples_split",
-    "subsample_fraction",
-    "init_rate",
-    "init_steps",
+#: The ``boost`` config keys and their flags; the seed is a top-level run key.
+_BOOST_SETTINGS = [s for s in SETTINGS if s.key != "seed"]
+#: Flags not spelled ``--`` plus the key with dashes.
+_FLAG_NAMES = {"subsample_fraction": "--subsample"}
+#: Top-level run config keys and their types.
+_RUN_KEYS = {
+    "task": str, "data": str, "label_column": str, "feature_columns": (list, str), "seed": int,
+    "early_stopping": bool, "val_fraction": float, "out_model": str, "out_log": str,
+    "threads": int, "boost": dict,
 }
 
 
@@ -107,20 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out-model", help="model JSON path (default model.json)")
     tr.add_argument("--out-log", help="per-iteration training log CSV")
     tr.add_argument("--seed", type=int)
-    tr.add_argument("--n-particles", type=int)
-    tr.add_argument("--max-iterations", type=int)
-    tr.add_argument("--learning-rate", type=float)
-    tr.add_argument("--direction", choices=[k.value for k in DirectionKind])
-    tr.add_argument("--kernel-scale", type=float)
-    tr.add_argument("--max-depth", type=int)
-    tr.add_argument("--min-samples-leaf", type=int)
-    tr.add_argument("--min-samples-split", type=int)
-    tr.add_argument("--subsample", type=float, dest="subsample_fraction")
-    tr.add_argument("--init-rate", type=float)
-    tr.add_argument("--init-steps", type=int)
+    for s in _BOOST_SETTINGS:
+        choices = [k.value for k in DirectionKind] if s.key == "direction" else None
+        flag = _FLAG_NAMES.get(s.key, "--" + s.key.replace("_", "-"))
+        tr.add_argument(flag, type=s.type, choices=choices, dest=s.key)
     tr.add_argument("--early-stopping", action=argparse.BooleanOptionalAction, default=None)
     tr.add_argument("--val-fraction", type=float)
-    tr.add_argument("--threads", type=int, help="worker cap for tree fitting")
+    tr.add_argument("--threads", type=int, help="worker threads for tree fitting (default 1: a "
+                    "pool made small-tree fits slower and erratic when measured on two cores)")
     tr.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("evaluate", help="score a model on a labeled CSV")
@@ -175,17 +166,6 @@ def _env_seed() -> int | None:
         raise ConfigError(f"WGBOOST_SEED must be an integer, got {raw!r}") from None
 
 
-def _resolve_seed(flag_value, doc: dict) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    if "seed" in doc:
-        if not isinstance(doc["seed"], int):
-            raise ConfigError(f"config seed must be an integer, got {doc['seed']!r}")
-        return doc["seed"]
-    env = _env_seed()
-    return 0 if env is None else env
-
-
 def _load_config_doc(path: str | None) -> dict:
     if path is None:
         return {}
@@ -201,110 +181,77 @@ def _load_config_doc(path: str | None) -> dict:
     return doc
 
 
+def _setting(args, doc: dict, key: str, default=None):
+    """A run setting: the flag if given, else the config value if not null, else ``default``."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = doc.get(key)
+    if value is None:
+        return default
+    check_type(key, value, _RUN_KEYS[key])
+    return value
+
+
 def _build_boost_config(task: str, boost_doc: dict, args, seed: int) -> BoostConfig:
-    if not isinstance(boost_doc, dict):
-        raise ConfigError("config field 'boost' must be an object")
-    unknown = set(boost_doc) - _BOOST_KEYS
+    unknown = set(boost_doc) - {s.key for s in _BOOST_SETTINGS}
     if unknown:
         raise ConfigError(f"unknown boost config keys: {sorted(unknown)}")
-    merged = dict(boost_doc)
-    for key in _BOOST_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    base = task_config(task)
+    flat = dict(boost_doc, seed=seed)
+    flat.update((s.key, getattr(args, s.key)) for s in _BOOST_SETTINGS if getattr(args, s.key) is not None)
     try:
-        return BoostConfig(
-            n_particles=merged.get("n_particles", base.n_particles),
-            max_iterations=merged.get("max_iterations", base.max_iterations),
-            learning_rate=merged.get("learning_rate", base.learning_rate),
-            direction=DirectionKind(merged.get("direction", base.direction)),
-            kernel=KernelConfig(merged.get("kernel_scale", base.kernel.scale)),
-            tree=TreeParams(
-                max_depth=merged.get("max_depth", base.tree.max_depth),
-                min_samples_leaf=merged.get("min_samples_leaf", base.tree.min_samples_leaf),
-                min_samples_split=merged.get("min_samples_split", base.tree.min_samples_split),
-            ),
-            subsample_fraction=merged.get("subsample_fraction", base.subsample_fraction),
-            init=InitConfig(
-                rate=merged.get("init_rate", base.init.rate),
-                steps=merged.get("init_steps", base.init.steps),
-            ),
-            seed=seed,
-        )
+        return config_from_settings(flat, task_config(task))
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
 
-def _setting(args, doc: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return doc.get(key, default)
-
-
 def _cmd_train(args) -> None:
     doc = _load_config_doc(args.config)
-    known = {
-        "task", "data", "label_column", "feature_columns", "seed",
-        "early_stopping", "val_fraction", "out_model", "out_log", "threads", "boost",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_RUN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    task = _setting(args, doc, "task", None)
-    data = _setting(args, doc, "data", None)
-    label_column = _setting(args, doc, "label_column", None)
+    task = _setting(args, doc, "task")
+    data = _setting(args, doc, "data")
+    label_column = _setting(args, doc, "label_column")
     if task not in ("regression", "classification"):
         raise ConfigError(f"task must be regression or classification, got {task!r}")
     if data is None:
         raise ConfigError("no training data given (--data or config 'data')")
     if label_column is None:
         raise ConfigError("no label column given (--label-column or config 'label_column')")
-    feature_columns = _setting(args, doc, "feature_columns", None)
+    feature_columns = _setting(args, doc, "feature_columns")
     if isinstance(feature_columns, str):
         feature_columns = [c.strip() for c in feature_columns.split(",") if c.strip()]
-    seed = _resolve_seed(args.seed, doc)
+    seed = _setting(args, doc, "seed")
+    if seed is None:
+        seed = _env_seed() or 0
     early = _setting(args, doc, "early_stopping", False)
-    val_fraction = float(_setting(args, doc, "val_fraction", 0.2))
-    threads = _setting(args, doc, "threads", None)
-    threads = int(threads) if threads is not None else (os.cpu_count() or 1)
+    val_fraction = _setting(args, doc, "val_fraction", 0.2)
+    threads = _setting(args, doc, "threads", 1)
     out_model = _setting(args, doc, "out_model", "model.json")
-    out_log = _setting(args, doc, "out_log", None)
-    cfg = _build_boost_config(task, doc.get("boost", {}), args, seed)
+    out_log = _setting(args, doc, "out_log")
+    cfg = _build_boost_config(task, _setting(args, doc, "boost", {}), args, seed)
 
     X, raw_labels, _ = dataio.read_table(data, label_column, feature_columns)
     curve = None
     if task == "regression":
-        y = dataio.parse_regression_labels(raw_labels, data)
-        targets, std = make_regression_targets(y)
-        if early:
-            model, curve = fit_with_early_stopping(
-                X, targets, cfg, val_fraction, standardization=std, threads=threads
-            )
-        else:
-            model = fit(X, targets, cfg, standardization=std, threads=threads)
+        targets, std = make_regression_targets(dataio.parse_regression_labels(raw_labels, data))
+        carried = {"standardization": std}
     else:
         labels, values = dataio.encode_class_labels(raw_labels)
         targets = make_classification_targets(labels)
-        if early:
-            model, curve = fit_with_early_stopping(
-                X, targets, cfg, val_fraction, label_values=values, threads=threads
-            )
-        else:
-            model = fit(X, targets, cfg, label_values=values, threads=threads)
+        carried = {"label_values": values}
+    if early:
+        model, curve = fit_with_early_stopping(X, targets, cfg, val_fraction, threads=threads, **carried)
+    else:
+        model = fit(X, targets, cfg, threads=threads, **carried)
 
     save_model(model, out_model)
     if out_log is not None:
-        rows = []
         if curve is not None:
-            rows.append({"iteration": 0, "val_nll": curve[0]})
-            for m in range(1, len(curve)):
-                rows.append({"iteration": m, "val_nll": curve[m]})
+            rows = [{"iteration": m, "val_nll": v} for m, v in enumerate(curve)]
         else:
-            for m, proxy in enumerate(model.train_trace, start=1):
-                rows.append({"iteration": m, "direction_sq_mean": proxy})
+            rows = [{"iteration": m, "direction_sq_mean": v} for m, v in enumerate(model.train_trace, 1)]
         dataio.write_csv(out_log, ["iteration", "direction_sq_mean", "val_nll"], rows, seed)
     chosen = f", kept {model.n_iterations} of {cfg.max_iterations} iterations" if curve else ""
     print(f"saved {task} model to {out_model} ({model.n_iterations} iterations{chosen})")
@@ -319,9 +266,33 @@ def _load_model_checked(path: str):
         raise DataError(f"model {path} is malformed: {err}") from err
 
 
-def _cmd_evaluate(args) -> None:
+def _load_model_and_rows(args):
+    """The model and the rows of ``args.data``, whose feature count must match it."""
     model = _load_model_checked(args.model)
     X, raw_labels, _ = dataio.read_table(args.data, args.label_column)
+    if X.shape[1] != model.n_features:
+        raise DataError(
+            f"{args.data} has {X.shape[1]} feature columns but the model expects {model.n_features}"
+        )
+    return model, X, raw_labels
+
+
+def _class_rows(preds, k: int, values: list) -> tuple[list[str], list[dict]]:
+    """Per-row predicted label, class probabilities and OOD score, with their header."""
+    probs = predictive_class_probs(preds, k)
+    classes = predicted_class(preds, k)
+    scores = ood_score(preds, k)
+    rows = []
+    for i in range(preds.shape[0]):
+        r = {"predicted_label": values[classes[i] - 1], "ood_score": scores[i]}
+        for j, v in enumerate(values):
+            r[f"prob_{v}"] = probs[i, j]
+        rows.append(r)
+    return ["predicted_label", *(f"prob_{v}" for v in values), "ood_score"], rows
+
+
+def _cmd_evaluate(args) -> None:
+    model, X, raw_labels = _load_model_and_rows(args)
     started = time.perf_counter()
     preds = model.predict(X)
     row = {c: "" for c in METRIC_COLUMNS}
@@ -345,15 +316,7 @@ def _cmd_evaluate(args) -> None:
         k = model.num_classes
         row["accuracy"] = classification_accuracy(preds, y, k)
         row["NLL"] = predictive_nll_categorical(preds, y, k)
-        probs = predictive_class_probs(preds, k)
-        classes = predicted_class(preds, k)
-        scores = ood_score(preds, k)
-        per_header = ["predicted_label", *(f"prob_{v}" for v in model.label_values), "ood_score"]
-        for i in range(X.shape[0]):
-            r = {"predicted_label": model.label_values[classes[i] - 1], "ood_score": scores[i]}
-            for j, v in enumerate(model.label_values):
-                r[f"prob_{v}"] = probs[i, j]
-            per_rows.append(r)
+        per_header, per_rows = _class_rows(preds, k, model.label_values)
     else:
         raise DataError(f"cannot evaluate a model with target family {model.target_family!r}")
     row["wall_clock_s"] = time.perf_counter() - started
@@ -365,38 +328,18 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_predict(args) -> None:
-    model = _load_model_checked(args.model)
-    X, _, _ = dataio.read_table(args.data, args.label_column)
+    model, X, _ = _load_model_and_rows(args)
     preds = model.predict(X)
-    n = preds.shape[1]
-    rows = []
     if model.target_family == "categorical":
         k = model.num_classes
-        values = model.label_values or [str(j) for j in range(1, k + 1)]
-        header = ["predicted_label", *(f"prob_{v}" for v in values), "ood_score"]
-        probs = predictive_class_probs(preds, k)
-        classes = predicted_class(preds, k)
-        scores = ood_score(preds, k)
-        for i in range(X.shape[0]):
-            r = {"predicted_label": values[classes[i] - 1], "ood_score": scores[i]}
-            for j, v in enumerate(values):
-                r[f"prob_{v}"] = probs[i, j]
-            rows.append(r)
+        header, rows = _class_rows(preds, k, model.label_values or [str(j) for j in range(1, k + 1)])
     else:
-        d = preds.shape[2]
-        header = []
+        _, n, d = preds.shape
+        header = [f"particle_{i + 1}_{c}" for i in range(n) for c in range(d)]
+        rows = preds.reshape(len(preds), n * d)
         if model.target_family == "normal":
-            header.append("prediction")
-        header += [f"particle_{i + 1}_{c}" for i in range(n) for c in range(d)]
-        points = point_predictions(preds, model.standardization) if model.target_family == "normal" else None
-        for i in range(X.shape[0]):
-            r = {}
-            if points is not None:
-                r["prediction"] = points[i]
-            for pi in range(n):
-                for c in range(d):
-                    r[f"particle_{pi + 1}_{c}"] = preds[i, pi, c]
-            rows.append(r)
+            header.insert(0, "prediction")
+            rows = np.column_stack([point_predictions(preds, model.standardization), rows])
     dataio.write_csv(args.out, header, rows, model.config.seed)
     print(f"wrote {len(rows)} prediction rows to {args.out}")
 

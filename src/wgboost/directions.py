@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericError
-from .kernel import KernelConfig
+from .kernel import KernelConfig, gaussian
 from .targets import EvidentialTarget
 
 #: Smallest curvature allowed in the diagonal Newton denominator.
@@ -63,9 +63,19 @@ def _gram_terms(theta: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     k(theta^n, .) taken in the reference (integrated) argument theta^m.
     """
     diff = theta[..., :, None, :] - theta[..., None, :, :]
-    K = np.exp(-np.sum(diff**2, axis=-1) / h)
+    K = gaussian(diff, h)
     R = (2.0 / h) * diff * K[..., None]
     return K, R
+
+
+def _smoothed_gradient(K: np.ndarray, R: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Rows (1/N) sum_m [ scores^m K[n, m] + R[n, m] ]: the smoothed gradient."""
+    return (np.einsum("...nm,...md->...nd", K, scores) + R.sum(axis=-2)) / K.shape[-1]
+
+
+def _smoothed_curvature(K: np.ndarray, R: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """Rows (1/N) sum_m [ -curv^m K[n, m]^2 + R[n, m]^2 ]: the smoothed diagonal curvature."""
+    return (np.einsum("...nm,...md->...nd", K * K, -curv) + np.sum(R * R, axis=-2)) / K.shape[-1]
 
 
 def smoothed_grad(
@@ -80,10 +90,8 @@ def smoothed_grad(
     the kernel terms vanish and the row equals the raw score exactly.
     """
     theta = _check_particles(particles)
-    n = theta.shape[-2]
-    scores = target.log_grad(theta)
     K, R = _gram_terms(theta, kernel.scale)
-    return (np.einsum("...nm,...md->...nd", K, scores) + R.sum(axis=-2)) / n
+    return _smoothed_gradient(K, R, target.log_grad(theta))
 
 
 def hess_diag(
@@ -97,10 +105,8 @@ def hess_diag(
     + ((2/h)(theta^n - theta^m) k)^2 ], elementwise in the d coordinates.
     """
     theta = _check_particles(particles)
-    n = theta.shape[-2]
-    curv = target.log_hess_diag(theta)
     K, R = _gram_terms(theta, kernel.scale)
-    return (np.einsum("...nm,...md->...nd", K * K, -curv) + np.sum(R * R, axis=-2)) / n
+    return _smoothed_curvature(K, R, target.log_hess_diag(theta))
 
 
 def diag_newton(
@@ -110,12 +116,9 @@ def diag_newton(
 ) -> np.ndarray:
     """Coordinate-wise Newton direction smoothed_grad / max(hess_diag, floor)."""
     theta = _check_particles(particles)
-    n = theta.shape[-2]
-    scores = target.log_grad(theta)
-    curv = target.log_hess_diag(theta)
     K, R = _gram_terms(theta, kernel.scale)
-    g = (np.einsum("...nm,...md->...nd", K, scores) + R.sum(axis=-2)) / n
-    h = (np.einsum("...nm,...md->...nd", K * K, -curv) + np.sum(R * R, axis=-2)) / n
+    g = _smoothed_gradient(K, R, target.log_grad(theta))
+    h = _smoothed_curvature(K, R, target.log_hess_diag(theta))
     return g / np.maximum(h, CURVATURE_FLOOR)
 
 
@@ -142,10 +145,9 @@ def full_newton(
         theta = theta[None]
     n, d = theta.shape[-2], theta.shape[-1]
 
-    scores = target.log_grad(theta)
     hess = target.log_hess_full(theta)
     K, R = _gram_terms(theta, kernel.scale)
-    g = (np.einsum("...nm,...md->...nd", K, scores) + R.sum(axis=-2)) / n
+    g = _smoothed_gradient(K, R, target.log_grad(theta))
 
     blocks = np.einsum("...nm,...km,...mij->...nkij", K, K, -hess)
     blocks += np.einsum("...nmi,...kmj->...nkij", R, R)

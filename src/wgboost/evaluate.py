@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp, ndtr
 
+from .kernel import gaussian
 from .targets import to_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -232,5 +233,4 @@ def mmd_squared(a: np.ndarray, b, scale: float = 0.025) -> float:
 
 
 def _gaussian_gram(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    return np.exp(-sq / scale)
+    return gaussian(a[:, None, :] - b[None, :, :], scale)

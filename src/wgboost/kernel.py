@@ -31,11 +31,15 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def gaussian(diff: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-||diff||^2 / scale) over the last axis of an array of differences a - b."""
+    return np.exp(-np.sum(diff**2, axis=-1) / scale)
+
+
 def kernel_eval(a: np.ndarray, b: np.ndarray, cfg: KernelConfig = KernelConfig()) -> np.ndarray:
     """Evaluate k(a, b).  Inputs are (..., d) arrays; broadcasting applies."""
     a, b = _check_pair(a, b)
-    sq = np.sum((a - b) ** 2, axis=-1)
-    return np.exp(-sq / cfg.scale)
+    return gaussian(a - b, cfg.scale)
 
 
 def kernel_grad(a: np.ndarray, b: np.ndarray, cfg: KernelConfig = KernelConfig()) -> np.ndarray:
@@ -45,5 +49,4 @@ def kernel_grad(a: np.ndarray, b: np.ndarray, cfg: KernelConfig = KernelConfig()
     """
     a, b = _check_pair(a, b)
     diff = a - b
-    k = np.exp(-np.sum(diff**2, axis=-1) / cfg.scale)
-    return (-2.0 / cfg.scale) * diff * k[..., None]
+    return (-2.0 / cfg.scale) * diff * gaussian(diff, cfg.scale)[..., None]

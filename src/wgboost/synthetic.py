@@ -81,18 +81,9 @@ def run_direction_bench(
             tree=TreeParams(max_depth=max_depth),
             seed=seed,
         )
-        _, rng_noise, rng_rows, _ = boosting._streams(cfg.seed)
         stamps = [time.perf_counter()]
-        ensembles, _ = boosting._boost_loop(
-            X, targets, cfg, init, rng_noise, rng_rows, threads=1,
-            on_iteration=lambda trees: stamps.append(time.perf_counter()),
-        )
-        model = WGBoostModel(
-            config=cfg,
-            target_family=targets.family,
-            init_particles=init,
-            ensembles=ensembles,
-            n_features=1,
+        model = boosting.fit(
+            X, targets, cfg, init=init, on_iteration=lambda trees: stamps.append(time.perf_counter())
         )
         for c in checkpoints:
             rows.append(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +291,87 @@ def test_gaussian_target_fit():
     # particle means should track sin(x) reasonably after 20 rounds
     err = np.abs(preds.mean(axis=1)[:, 0] - np.sin(X[:, 0]))
     assert err.mean() < 0.35
+
+
+def test_saved_config_object_is_pinned(tmp_path):
+    """The model JSON ``config`` layout of format_version 1, key by key."""
+    X, _, targets, _ = small_regression(n=20)
+    cfg = BoostConfig(
+        n_particles=2,
+        max_iterations=1,
+        learning_rate=0.25,
+        direction="first-order",
+        kernel=KernelConfig(0.3),
+        tree=TreeParams(max_depth=2, min_samples_leaf=3, min_samples_split=7),
+        subsample_fraction=0.5,
+        init=InitConfig(rate=0.02, steps=3),
+        seed=9,
+    )
+    path = tmp_path / "m.json"
+    save_model(fit(X, targets, cfg), path)
+    assert json.loads(path.read_text())["config"] == {
+        "n_particles": 2,
+        "max_iterations": 1,
+        "learning_rate": 0.25,
+        "direction": "first-order",
+        "kernel_scale": 0.3,
+        "tree": {"max_depth": 2, "min_samples_leaf": 3, "min_samples_split": 7},
+        "subsample_fraction": 0.5,
+        "init": {"rate": 0.02, "steps": 3},
+        "seed": 9,
+    }
+    assert load_model(path).config == cfg
+
+
+# Written by the code before the settings table; predictions pinned bit for bit.
+V1_MODEL = Path(__file__).with_name("model_v1.json")
+V1_ROWS = np.array([[0.0, 0.0], [0.5, -1.25], [-2.0, 3.0]])
+V1_PREDICTIONS = [
+    [[-0.041348291936387394, -0.574314508105831], [0.15830495461754993, -3.1585773943790283],
+     [1.2755037679068573, 0.3714312635633977]],
+    [[-0.07343279194251254, -0.3573300555051269], [0.24356177131254186, -1.1653399749671494],
+     [1.2057768588898543, 0.45678622502895555]],
+    [[-0.4968172193859769, -0.44205217991790463], [0.06707557600700365, -0.7212722368910066],
+     [1.1724383607702207, 0.38317367944979874]],
+]
+V1_PREDICTIONS_2_TREES = [
+    [[-0.05492281720833135, -0.09983272580824397], [0.25143607222371644, -3.1323959429065873],
+     [1.6495188552652056, 0.36110065266485475]],
+    [[-0.1384652034056481, -0.1810848889827284], [0.36079096276315387, -0.9666739148423157],
+     [1.5797919462482026, 0.4464556141304126]],
+    [[-0.3698138101708942, -0.30785548985794786], [0.16020669361317016, -0.6950907854185658],
+     [1.5080053912253784, 0.4965591803702542]],
+]
+
+
+def test_format_version_1_model_loads_and_predicts_the_same():
+    model = load_model(V1_MODEL)
+    assert model.config == BoostConfig(
+        n_particles=3,
+        max_iterations=4,
+        kernel=KernelConfig(0.2),
+        tree=TreeParams(max_depth=2),
+        init=InitConfig(steps=20),
+        seed=5,
+    )
+    assert model.n_iterations == 4
+    assert np.array_equal(model.predict(V1_ROWS), np.array(V1_PREDICTIONS))
+    assert np.array_equal(model.predict(V1_ROWS, num_trees=2), np.array(V1_PREDICTIONS_2_TREES))
+
+
+def test_on_iteration_sees_every_round():
+    X, _, targets, _ = small_regression()
+    seen = []
+    model = fit(X, targets, quick_cfg(max_iterations=4), on_iteration=seen.append)
+    assert len(seen) == 4
+    assert all(len(trees) == 3 for trees in seen)
+    assert [trees[0] for trees in seen] == model.ensembles[0]
+
+
+def test_bad_typed_model_config_is_a_data_error(tmp_path):
+    doc = json.loads(V1_MODEL.read_text())
+    doc["config"]["tree"]["max_depth"] = 1.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="max_depth"):
+        load_model(path)

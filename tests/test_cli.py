@@ -217,3 +217,50 @@ def test_bench_and_toy_sin(tmp_path):
     assert header[0] == "x" and header[-2:] == ["band_lo", "band_hi"]
     assert len(data) == 5
     assert run("bench-directions", "--out", out, "--iterations", 3, "--checkpoints", "9") == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("boost.n_particles", "10"),
+        ("boost.kernel_scale", "x"),
+        ("boost.init_steps", 2.5),
+        ("boost.max_depth", 1.5),
+        ("boost.learning_rate", True),
+        ("val_fraction", "abc"),
+        ("early_stopping", "no"),
+        ("threads", 2.0),
+    ],
+)
+def test_bad_typed_config_is_a_config_error(tmp_path, reg_csv, capsys, key, value):
+    doc = {"task": "regression", "data": str(reg_csv), "label_column": "y",
+           "boost": {"max_iterations": 1, "init_steps": 1}}
+    if key.startswith("boost."):
+        doc["boost"][key[len("boost."):]] = value
+    else:
+        doc[key] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    model = tmp_path / "m.json"
+    assert run("train", "--config", cfg, "--out-model", model) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + key.split(".")[-1])
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_column_count_mismatch_is_a_data_error(tmp_path, reg_csv, capsys, command):
+    model = tmp_path / "m.json"
+    assert run(
+        "train", "--data", reg_csv, "--task", "regression", "--label-column", "y",
+        "--max-iterations", 2, "--init-steps", 10, "--out-model", model,
+    ) == 0
+    capsys.readouterr()
+    wide = tmp_path / "wide.csv"
+    header, data = read_rows(reg_csv)
+    wide.write_text("\n".join(",".join(r) for r in [["x0", *header], *(["0.5", *r] for r in data)]))
+    out = tmp_path / "out.csv"
+    assert run(command, "--model", model, "--data", wide, "--label-column", "y", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "3 feature columns" in err and "expects 2" in err
+    assert not out.exists()
