@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -76,6 +76,8 @@ class BoostConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class Setting(NamedTuple):
@@ -176,19 +178,35 @@ class WGBoostModel:
         ``num_trees`` truncates the ensembles, reproducing the staged values
         seen during fitting exactly.
         """
+        *_, out = self.staged_predict(X, num_trees)
+        return out
+
+    def staged_predict(self, X: np.ndarray, num_trees: int | None = None) -> Iterator[np.ndarray]:
+        """Yield the particle outputs after 0, 1, ..., ``num_trees`` rounds.
+
+        Every stage is the same array, advanced in place; copy a stage to keep
+        it.  The stages match the training cache bit for bit.
+        """
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         Xb = X[None, :] if single else X
         if Xb.ndim != 2 or Xb.shape[1] != self.n_features:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
-        n, d = self.init_particles.shape
-        out = np.broadcast_to(self.init_particles, (Xb.shape[0], n, d)).copy()
-        stop = self.n_iterations if num_trees is None else num_trees
-        lr = self.config.learning_rate
-        for i, trees in enumerate(self.ensembles):
-            for tree in trees[:stop]:
-                out[:, i, :] += lr * tree.predict(Xb)
-        return out[0] if single else out
+        if num_trees is not None and num_trees < 0:
+            raise ValueError(f"num_trees must be >= 0, got {num_trees}")
+        F = np.broadcast_to(self.init_particles, (Xb.shape[0], *self.init_particles.shape)).copy()
+        out = F[0] if single else F
+        yield out
+        stop = self.n_iterations if num_trees is None else min(num_trees, self.n_iterations)
+        for m in range(stop):
+            _add_round(F, [trees[m] for trees in self.ensembles], Xb, self.config.learning_rate)
+            yield out
+
+
+def _add_round(F: np.ndarray, trees: list[RegressionTree], X: np.ndarray, lr: float) -> None:
+    """Advance the particles F (T, N, d) of rows X by one round: tree i moves particle i."""
+    for i, tree in enumerate(trees):
+        F[:, i, :] += lr * tree.predict(X)
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -270,30 +288,6 @@ def fit(
             raise DataError(
                 f"init particles have shape {init.shape}, expected {(cfg.n_particles, targets.dim)}"
             )
-    ensembles, trace = _boost_loop(X, targets, cfg, init, rng_noise, rng_rows, threads, on_iteration)
-    return WGBoostModel(
-        config=cfg,
-        target_family=targets.family,
-        init_particles=init,
-        ensembles=ensembles,
-        n_features=X.shape[1],
-        num_classes=getattr(targets, "k", None),
-        standardization=standardization,
-        label_values=label_values,
-        train_trace=trace,
-    )
-
-
-def _boost_loop(
-    X: np.ndarray,
-    targets: EvidentialTarget,
-    cfg: BoostConfig,
-    init: np.ndarray,
-    rng_noise: np.random.Generator,
-    rng_rows: np.random.Generator,
-    threads: int,
-    on_iteration=None,
-) -> tuple[list[list[RegressionTree]], list[float]]:
     n_data = X.shape[0]
     n, d = init.shape
     F = np.broadcast_to(init, (n_data, n, d)).copy()
@@ -321,8 +315,8 @@ def _boost_loop(
                 trees = list(pool.map(lambda i: fit_tree(X_it, g[:, i, :], cfg.tree), range(n)))
             else:
                 trees = [fit_tree(X_it, g[:, i, :], cfg.tree) for i in range(n)]
+            _add_round(F, trees, X, cfg.learning_rate)
             for i, tree in enumerate(trees):
-                F[:, i, :] += cfg.learning_rate * tree.predict(X)
                 ensembles[i].append(tree)
             trace.append(float(np.mean(g * g)))
             if on_iteration is not None:
@@ -330,7 +324,17 @@ def _boost_loop(
     finally:
         if pool is not None:
             pool.shutdown()
-    return ensembles, trace
+    return WGBoostModel(
+        config=cfg,
+        target_family=targets.family,
+        init_particles=init,
+        ensembles=ensembles,
+        n_features=X.shape[1],
+        num_classes=getattr(targets, "k", None),
+        standardization=standardization,
+        label_values=label_values,
+        train_trace=trace,
+    )
 
 
 def fit_with_early_stopping(
@@ -346,9 +350,10 @@ def fit_with_early_stopping(
     """Pick the iteration count on a held-out split, then refit from scratch.
 
     A seeded split holds out ``val_fraction`` of the rows.  A search fit on
-    the rest records the validation NLL after every iteration (index 0 is the
-    bare initializer); the refit on all rows uses the argmin, ties resolved
-    toward fewer trees.  Returns the refit model and the recorded curve.
+    the rest, replayed stage by stage on the held-out rows, gives the
+    validation NLL after every iteration (index 0 is the bare initializer);
+    the refit on all rows uses the argmin, ties resolved toward fewer trees.
+    Returns the refit model and the recorded curve.
     """
     X = _check_training_data(X, targets)
     if targets.family not in ("normal", "categorical"):
@@ -359,28 +364,17 @@ def fit_with_early_stopping(
         raise DataError(
             f"validation split of {n_val} rows out of {n_data} leaves nothing to fit or score"
         )
-    rng_draw, rng_noise, rng_rows, rng_split = _streams(cfg.seed)
-    perm = rng_split.permutation(n_data)
+    perm = _streams(cfg.seed)[3].permutation(n_data)
     val_idx = np.sort(perm[:n_val])
     fit_idx = np.sort(perm[n_val:])
-    t_fit = targets.take(fit_idx)
     t_val = targets.take(val_idx)
-    X_val = X[val_idx]
-
-    init = _run_init(t_fit, cfg, rng_draw, rng_noise)
-    F_val = np.broadcast_to(init, (n_val,) + init.shape).copy()
     if targets.family == "normal":
-        metric = lambda: predictive_nll_normal(F_val, t_val.y, Standardization())
+        metric = lambda F: predictive_nll_normal(F, t_val.y, Standardization())
     else:
-        metric = lambda: predictive_nll_categorical(F_val, t_val.y, t_val.k)
-    curve = [metric()]
-
-    def track(trees: list[RegressionTree]) -> None:
-        for i, tree in enumerate(trees):
-            F_val[:, i, :] += cfg.learning_rate * tree.predict(X_val)
-        curve.append(metric())
-
-    _boost_loop(X[fit_idx], t_fit, cfg, init, rng_noise, rng_rows, threads, on_iteration=track)
+        metric = lambda F: predictive_nll_categorical(F, t_val.y, t_val.k)
+    search = fit(X[fit_idx], targets.take(fit_idx), cfg, threads=threads)
+    curve = [metric(F) for F in search.staged_predict(X[val_idx])]
+    del search  # its trees need not outlive the curve into the refit
     best = int(np.argmin(curve))
     final = fit(
         X,
@@ -408,7 +402,7 @@ def _config_from_dict(doc: dict) -> BoostConfig:
     flat = {s.key: doc[s.group][s.name] if s.group in _JSON_GROUPS else doc[s.key] for s in SETTINGS}
     try:
         return config_from_settings(flat)
-    except ConfigError as err:
+    except (ConfigError, ValueError) as err:
         raise DataError(f"model config: {err}") from None
 
 
@@ -442,17 +436,33 @@ def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> WGBoostModel:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataError(f"a model file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported model format_version {doc.get('format_version')!r}")
     std = None
     if doc["y_mean"] is not None:
         std = Standardization(doc["y_mean"], doc["y_std"])
+    cfg = _config_from_dict(doc["config"])
+    init, n_features = np.asarray(doc["init_particles"], dtype=float), doc["n_features"]
+    lengths = [len(trees) for trees in doc["ensembles"]]
+    n = cfg.n_particles
+    if init.ndim != 2 or init.shape[0] != n or len(lengths) != n or len(set(lengths)) != 1:
+        raise DataError(
+            f"model has init particles of shape {init.shape} and ensembles of lengths {lengths}; "
+            f"expected {n} particles and {n} ensembles of one length"
+        )
+    ensembles = [[RegressionTree.from_dict(t) for t in trees] for trees in doc["ensembles"]]
+    shapes = {(tree.n_features, tree.n_outputs) for trees in ensembles for tree in trees}
+    if shapes - {(n_features, init.shape[1])}:
+        raise DataError(f"trees map (features, outputs) {sorted(shapes)}, expected "
+                        f"{(n_features, init.shape[1])} as the model does")
     return WGBoostModel(
-        config=_config_from_dict(doc["config"]),
+        config=cfg,
         target_family=doc["target_family"],
-        init_particles=np.asarray(doc["init_particles"], dtype=float),
-        ensembles=[[RegressionTree.from_dict(t) for t in trees] for trees in doc["ensembles"]],
-        n_features=doc["n_features"],
+        init_particles=init,
+        ensembles=ensembles,
+        n_features=n_features,
         num_classes=doc["k"],
         standardization=std,
         label_values=doc["label_values"],

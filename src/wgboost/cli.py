@@ -51,8 +51,6 @@ METRIC_COLUMNS = [
     "NLL",
     "RMSE",
     "accuracy",
-    "pr_auc",
-    "mean_mmd",
     "wall_clock_s",
 ]
 
@@ -156,10 +154,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("WGBOOST_SEED")
-    if raw is None:
-        return None
+def _seed(args, doc: dict) -> int:
+    """The seed: the flag, else the config's ``seed``, else WGBOOST_SEED, else 0."""
+    seed = _setting(args, doc, "seed")
+    if seed is not None:
+        return seed
+    raw = os.environ.get("WGBOOST_SEED", "0")
     try:
         return int(raw)
     except ValueError:
@@ -222,9 +222,7 @@ def _cmd_train(args) -> None:
     feature_columns = _setting(args, doc, "feature_columns")
     if isinstance(feature_columns, str):
         feature_columns = [c.strip() for c in feature_columns.split(",") if c.strip()]
-    seed = _setting(args, doc, "seed")
-    if seed is None:
-        seed = _env_seed() or 0
+    seed = _seed(args, doc)
     early = _setting(args, doc, "early_stopping", False)
     val_fraction = _setting(args, doc, "val_fraction", 0.2)
     threads = _setting(args, doc, "threads", 1)
@@ -349,7 +347,7 @@ def _cmd_bench(args) -> None:
         checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
     except ValueError:
         raise ConfigError(f"bad checkpoint list {args.checkpoints!r}") from None
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    seed = _seed(args, {})
     try:
         rows = synthetic.run_direction_bench(
             iterations=args.iterations,
@@ -370,7 +368,7 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_toy_sin(args) -> None:
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    seed = _seed(args, {})
     try:
         rows = synthetic.run_toy_sin(
             learners=args.learners,

@@ -93,23 +93,34 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RegressionTree":
-        nodes = doc["nodes"]
+        """Rebuild a tree from :meth:`to_dict` output.
+
+        Raises DataError unless the tree has leaves, all with values of one
+        length, and every split has a float threshold (not NaN), an integer
+        feature in [0, n_features) and integer children after it, so that
+        routing always ends at a leaf.
+        """
+        nodes, n_features = doc["nodes"], doc["n_features"]
         n = len(nodes)
-        feature = np.full(n, -1, dtype=np.int32)
-        threshold = np.full(n, np.nan)
-        left = np.full(n, -1, dtype=np.int32)
-        right = np.full(n, -1, dtype=np.int32)
-        dims = [len(nd["value"]) for nd in nodes if "value" in nd]
-        value = np.zeros((n, dims[0]))
+        dims = {len(nd["value"]) for nd in nodes if "value" in nd}
+        if len(dims) != 1:
+            raise DataError(f"tree needs leaves with values of one length, got lengths {sorted(dims)}")
+        value = np.zeros((n, dims.pop()))
+        splits = [(-1, np.nan, -1, -1)] * n  # (feature, threshold, left, right); leaves keep this
         for i, nd in enumerate(nodes):
             if "value" in nd:
                 value[i] = nd["value"]
             else:
-                feature[i] = nd["feature"]
-                threshold[i] = nd["threshold"]
-                left[i] = nd["left"]
-                right[i] = nd["right"]
-        return cls(feature, threshold, left, right, value, doc["n_features"])
+                j, thr, lo, hi = nd["feature"], nd["threshold"], nd["left"], nd["right"]
+                if not (type(j) is type(lo) is type(hi) is int and type(thr) is float and thr == thr
+                        and 0 <= j < n_features and i < lo < n and i < hi < n):
+                    raise DataError(
+                        f"tree node {i} splits on feature {j!r} at {thr!r} into nodes {lo!r} and "
+                        f"{hi!r}; need a float threshold and integers with 0 <= feature < "
+                        f"{n_features} and {i} < child < {n}"
+                    )
+                splits[i] = (j, thr, lo, hi)
+        return cls(*zip(*splits), value, n_features)
 
 
 def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:

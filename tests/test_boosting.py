@@ -375,3 +375,75 @@ def test_bad_typed_model_config_is_a_data_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="max_depth"):
         load_model(path)
+
+
+def test_staged_predict_yields_every_truncation():
+    X, _, targets, _ = small_regression()
+    model = fit(X, targets, quick_cfg(max_iterations=5))
+    stages = [F.copy() for F in model.staged_predict(X)]
+    assert len(stages) == model.n_iterations + 1
+    for m, F in enumerate(stages):
+        assert np.array_equal(F, model.predict(X, num_trees=m))
+    singles = [F.copy() for F in model.staged_predict(X[7], num_trees=3)]
+    assert [F.shape for F in singles] == [(3, 2)] * 4
+    assert np.array_equal(singles[-1], stages[3][7])
+
+
+def test_negative_num_trees_is_rejected():
+    X, _, targets, _ = small_regression()
+    model = fit(X, targets, quick_cfg(max_iterations=3))
+    with pytest.raises(ValueError, match="num_trees"):
+        model.predict(X, num_trees=-1)
+    with pytest.raises(ValueError, match="num_trees"):
+        next(model.staged_predict(X, num_trees=-1))
+
+
+def test_early_stopping_curve_is_the_staged_nll_of_the_search_fit():
+    from wgboost.boosting import _streams
+
+    X, _, targets, _ = small_regression(n=50)
+    cfg = quick_cfg(max_iterations=5)
+    _, curve = fit_with_early_stopping(X, targets, cfg, 0.2)
+    perm = _streams(cfg.seed)[3].permutation(50)
+    val, fit_rows = np.sort(perm[:10]), np.sort(perm[10:])
+    search = fit(X[fit_rows], targets.take(fit_rows), cfg)
+    y_val = targets.take(val).y
+    want = [predictive_nll_normal(F, y_val, Standardization()) for F in search.staged_predict(X[val])]
+    assert curve == want
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # a child index back to the root: routing the row would never end
+        lambda doc: doc["ensembles"][1][2]["nodes"][1].update(left=0),
+        lambda doc: doc["ensembles"][0][0].update(nodes=[]),
+        lambda doc: doc["ensembles"][0][1]["nodes"][2]["value"].append(0.5),
+        # one consistent tree whose leaves are longer than the particles
+        lambda doc: doc["ensembles"][0][0].update(nodes=[{"value": [0.1, 0.2, 0.3]}]),
+        lambda doc: doc["ensembles"][2][3]["nodes"][0].update(feature=2),
+        lambda doc: doc["ensembles"][2][3]["nodes"][0].update(right=1.5),
+        lambda doc: doc["ensembles"][0][0]["nodes"][0].update(threshold=None),
+        lambda doc: doc["ensembles"][0][0]["nodes"][0].update(threshold=float("nan")),
+        lambda doc: doc["ensembles"][1][0].update(n_features=3),
+        lambda doc: doc["ensembles"].pop(),
+        lambda doc: doc["ensembles"][1].pop(),
+        lambda doc: doc["config"].update(seed=-1),
+    ],
+    ids=["cycle", "no-nodes", "leaf-length", "tree-outputs", "feature", "child-type",
+         "threshold", "nan-threshold", "tree-features", "ensemble-count", "ensemble-length", "seed"],
+)
+def test_structurally_bad_model_is_a_data_error(tmp_path, mutate):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+def test_model_file_without_an_object_is_a_data_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[]")
+    with pytest.raises(DataError, match="JSON object"):
+        load_model(path)

@@ -264,3 +264,22 @@ def test_column_count_mismatch_is_a_data_error(tmp_path, reg_csv, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "3 feature columns" in err and "expects 2" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config", "toy-sin", "bench-directions"])
+def test_negative_seed_is_a_config_error(tmp_path, reg_csv, capsys, monkeypatch, source):
+    doc = {"task": "regression", "data": str(reg_csv), "label_column": "y",
+           "boost": {"max_iterations": 1, "init_steps": 1}}
+    if source == "env":
+        monkeypatch.setenv("WGBOOST_SEED", "-1")
+    if source == "config":
+        doc["seed"] = -1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {"toy-sin": ["toy-sin", "--out", out, "--seed", -1],
+            "bench-directions": ["bench-directions", "--out", out, "--seed", -1],
+            "flag": ["train", "--config", cfg, "--out-model", out, "--seed", -1]}
+    assert run(*argv.get(source, ["train", "--config", cfg, "--out-model", out])) == 2
+    assert capsys.readouterr().err.startswith("config error: seed")
+    assert not out.exists()
