@@ -4,8 +4,13 @@ A model maps an input x to N particles in R^d.  Fitting keeps a cached
 particle matrix F of shape (D, N, d) over the training rows; each iteration
 computes the chosen update direction for every row, fits one tree per
 particle index to the direction rows, and advances the whole cache by
-learning_rate times the tree predictions.  Prediction replays the same sums,
-so staged predictions agree with the cache bit for bit.
+learning_rate times the tree predictions.
+
+A model packs all its trees into one set of node arrays when it is built
+(``tree.pack_trees``).  Prediction replays the cache update from them: it
+routes every row through the trees of a block of rounds at once
+(``tree.route``), then adds each round's learning_rate times leaf values in
+round order, so staged predictions agree with the cache bit for bit.
 
 All randomness (initializer draw, Langevin noise, row subsampling, the
 early-stopping validation split) comes from four independent streams derived
@@ -29,9 +34,14 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluate import Standardization, predictive_nll_categorical, predictive_nll_normal
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
-from .tree import RegressionTree, TreeParams, fit_tree
+from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, route,
+                   trees_from_dicts)
 
 FORMAT_VERSION = 1
+
+#: Most (row, tree) pairs one ``route`` call of staged prediction holds; bounds
+#: the memory of a block of rounds while keeping the per-call overhead small.
+_ROUTE_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,6 +177,11 @@ class WGBoostModel:
     standardization: Standardization | None = None
     label_values: list | None = None
     train_trace: list[float] = field(default_factory=list, repr=False, compare=False)
+    _packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # From here on the trees read their nodes from the packed set.
+        self._packed = pack_trees([tree for ensemble in self.ensembles for tree in ensemble])
 
     @property
     def n_iterations(self) -> int:
@@ -198,15 +213,20 @@ class WGBoostModel:
         out = F[0] if single else F
         yield out
         stop = self.n_iterations if num_trees is None else min(num_trees, self.n_iterations)
-        for m in range(stop):
-            _add_round(F, [trees[m] for trees in self.ensembles], Xb, self.config.learning_rate)
-            yield out
+        roots = self._packed.roots.reshape(len(self.ensembles), self.n_iterations).T  # (M, N)
+        block = max(1, _ROUTE_PAIRS // max(1, F.shape[0] * F.shape[1]))
+        for start in range(0, stop, block):
+            V = route(self._packed, Xb, roots[start:min(start + block, stop)])  # (T, B, N, d)
+            V *= self.config.learning_rate  # the products lr * value that _add_round adds
+            for b in range(V.shape[1]):
+                F += V[:, b]
+                yield out
 
 
 def _add_round(F: np.ndarray, trees: list[RegressionTree], X: np.ndarray, lr: float) -> None:
     """Advance the particles F (T, N, d) of rows X by one round: tree i moves particle i."""
-    for i, tree in enumerate(trees):
-        F[:, i, :] += lr * tree.predict(X)
+    packed = pack_trees(trees)
+    F += lr * route(packed, X, packed.roots)
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -235,9 +255,12 @@ def _run_init(
     """
     theta = rng_draw.standard_normal((cfg.n_particles, targets.dim))
     for step in range(cfg.init.steps):
-        g = compute_direction(
-            cfg.direction, theta, targets, cfg.kernel, rate=cfg.init.rate, rng=rng_noise
-        )
+        try:
+            g = compute_direction(
+                cfg.direction, theta, targets, cfg.kernel, rate=cfg.init.rate, rng=rng_noise
+            )
+        except NumericError as err:
+            raise NumericError(f"initializer step {step}: {err}") from err
         if g.ndim == 3:
             g = g.mean(axis=0)
         theta = theta + cfg.init.rate * g
@@ -443,6 +466,9 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     std = None
     if doc["y_mean"] is not None:
         std = Standardization(doc["y_mean"], doc["y_std"])
+        if not (math.isfinite(doc["y_mean"]) and math.isfinite(doc["y_std"])):
+            raise DataError(f"model has y_mean {doc['y_mean']!r} and y_std {doc['y_std']!r}; "
+                            f"both must be finite")
     cfg = _config_from_dict(doc["config"])
     init, n_features = np.asarray(doc["init_particles"], dtype=float), doc["n_features"]
     lengths = [len(trees) for trees in doc["ensembles"]]
@@ -452,12 +478,15 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
             f"model has init particles of shape {init.shape} and ensembles of lengths {lengths}; "
             f"expected {n} particles and {n} ensembles of one length"
         )
-    ensembles = [[RegressionTree.from_dict(t) for t in trees] for trees in doc["ensembles"]]
+    if not np.all(np.isfinite(init)):
+        raise DataError("model init particles contain non-finite values")
+    trees = iter(trees_from_dicts([t for trees in doc["ensembles"] for t in trees]))
+    ensembles = [[next(trees) for _ in range(m)] for m in lengths]
     shapes = {(tree.n_features, tree.n_outputs) for trees in ensembles for tree in trees}
     if shapes - {(n_features, init.shape[1])}:
         raise DataError(f"trees map (features, outputs) {sorted(shapes)}, expected "
                         f"{(n_features, init.shape[1])} as the model does")
-    return WGBoostModel(
+    model = WGBoostModel(
         config=cfg,
         target_family=doc["target_family"],
         init_particles=init,
@@ -467,6 +496,9 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
         standardization=std,
         label_values=doc["label_values"],
     )
+    if not np.all(np.isfinite(model._packed.value)):
+        raise DataError("model trees have non-finite leaf values")
+    return model
 
 
 def make_regression_targets(y: np.ndarray) -> tuple[NormalLocationScaleTarget, Standardization]:

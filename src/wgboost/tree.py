@@ -11,7 +11,9 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,26 +38,61 @@ class TreeParams:
             raise ValueError("min_samples_split must be >= 2")
 
 
-class RegressionTree:
-    """Fitted tree stored as flat parallel node arrays (feature -1 marks a leaf)."""
+class PackedTrees(NamedTuple):
+    """The node arrays of one or more trees, concatenated.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_features")
+    Every tree keeps its own encoding: feature -1 marks a leaf, children are
+    indices relative to the tree's root, and a leaf is its own left and right
+    child, so routing that steps past a leaf stays there.
+    """
+
+    feature: np.ndarray  # (n_nodes,) int32
+    threshold: np.ndarray  # (n_nodes,) float
+    left: np.ndarray  # (n_nodes,) int32
+    right: np.ndarray  # (n_nodes,) int32
+    value: np.ndarray  # (n_nodes, d) float
+    roots: np.ndarray  # (n_trees,) int32: each tree's root node
+
+
+_COLUMNS = ("feature", "threshold", "left", "right", "value")
+
+
+def _column(name: str) -> property:
+    return property(lambda self: getattr(self._nodes, name)[self._start:self._start + self.n_nodes],
+                    doc=f"The tree's {name} node array, a view of its slice of the packed nodes.")
+
+
+class RegressionTree:
+    """Fitted tree: a slice of a :class:`PackedTrees` (see its node encoding).
+
+    A new tree holds its own nodes; :func:`pack_trees` moves trees into one
+    shared set, so that a model stores every node once.
+    """
+
+    __slots__ = ("_nodes", "_start", "n_nodes", "n_features")
+
+    feature, threshold, left, right, value = map(_column, _COLUMNS)
 
     def __init__(self, feature, threshold, left, right, value, n_features: int):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.value = np.asarray(value, dtype=float)
+        feature = np.asarray(feature, dtype=np.int32)
+        self._nodes = PackedTrees(
+            feature, np.asarray(threshold, dtype=float), np.asarray(left, dtype=np.int32),
+            np.asarray(right, dtype=np.int32), np.asarray(value, dtype=float),
+            np.zeros(1, dtype=np.int32),
+        )
+        self._start = 0
+        self.n_nodes = feature.shape[0]
         self.n_features = int(n_features)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
+    @classmethod
+    def _slice(cls, nodes: PackedTrees, start: int, n_nodes: int, n_features: int):
+        tree = cls.__new__(cls)
+        tree._nodes, tree._start, tree.n_nodes, tree.n_features = nodes, start, n_nodes, n_features
+        return tree
 
     @property
     def n_outputs(self) -> int:
-        return self.value.shape[1]
+        return self._nodes.value.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route rows to leaves.  (p,) -> (d,); (T, p) -> (T, d)."""
@@ -64,52 +101,62 @@ class RegressionTree:
         Xb = X[None, :] if single else X
         if Xb.ndim != 2 or Xb.shape[1] != self.n_features:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
-        idx = np.zeros(Xb.shape[0], dtype=np.int32)
-        active = self.feature[idx] >= 0
-        while active.any():
-            rows = np.nonzero(active)[0]
-            cur = idx[rows]
-            go_left = Xb[rows, self.feature[cur]] <= self.threshold[cur]
-            idx[rows] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[idx] >= 0
-        out = self.value[idx]
+        out = route(self._nodes, Xb, self._start)
         return out[0] if single else out
 
     def to_dict(self) -> dict:
+        feature, threshold, left, right, value = (getattr(self, name) for name in _COLUMNS)
         nodes = []
         for i in range(self.n_nodes):
-            if self.feature[i] < 0:
-                nodes.append({"value": self.value[i].tolist()})
+            if feature[i] < 0:
+                nodes.append({"value": value[i].tolist()})
             else:
                 nodes.append(
                     {
-                        "feature": int(self.feature[i]),
-                        "threshold": float(self.threshold[i]),
-                        "left": int(self.left[i]),
-                        "right": int(self.right[i]),
+                        "feature": int(feature[i]),
+                        "threshold": float(threshold[i]),
+                        "left": int(left[i]),
+                        "right": int(right[i]),
                     }
                 )
         return {"n_features": self.n_features, "nodes": nodes}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RegressionTree":
-        """Rebuild a tree from :meth:`to_dict` output.
+        """Rebuild a tree from :meth:`to_dict` output (see :func:`trees_from_dicts`)."""
+        return trees_from_dicts([doc])[0]
 
-        Raises DataError unless the tree has leaves, all with values of one
-        length, and every split has a float threshold (not NaN), an integer
-        feature in [0, n_features) and integer children after it, so that
-        routing always ends at a leaf.
-        """
+
+def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
+    """Rebuild trees from :meth:`RegressionTree.to_dict` output, packed in order.
+
+    Raises DataError unless every tree has leaves, all with values of one
+    length shared by all the trees, and every split has a float threshold
+    (not NaN), an integer feature in [0, n_features) and integer children
+    after it, so that routing always ends at a leaf.
+    """
+    # one flat list per node array: tuples per node would be tracked by the
+    # garbage collector, whose passes over the caller's parsed JSON dominate
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []  # value rows, flattened; zeros at splits
+    shapes: list[tuple[int, int]] = []  # (n_nodes, n_features) of every tree
+    dim = None
+    for doc in docs:
         nodes, n_features = doc["nodes"], doc["n_features"]
         n = len(nodes)
         dims = {len(nd["value"]) for nd in nodes if "value" in nd}
-        if len(dims) != 1:
-            raise DataError(f"tree needs leaves with values of one length, got lengths {sorted(dims)}")
-        value = np.zeros((n, dims.pop()))
-        splits = [(-1, np.nan, -1, -1)] * n  # (feature, threshold, left, right); leaves keep this
+        if len(dims) != 1 or dims != {dim} and dim is not None:
+            raise DataError(f"trees need leaves with values of one length, got lengths "
+                            f"{sorted(dims | {dim} - {None})}")
+        dim = dims.pop()
+        zeros = [0.0] * dim
         for i, nd in enumerate(nodes):
             if "value" in nd:
-                value[i] = nd["value"]
+                j, thr, lo, hi = -1, np.nan, i, i
+                value.extend(nd["value"])
             else:
                 j, thr, lo, hi = nd["feature"], nd["threshold"], nd["left"], nd["right"]
                 if not (type(j) is type(lo) is type(hi) is int and type(thr) is float and thr == thr
@@ -119,8 +166,71 @@ class RegressionTree:
                         f"{hi!r}; need a float threshold and integers with 0 <= feature < "
                         f"{n_features} and {i} < child < {n}"
                     )
-                splits[i] = (j, thr, lo, hi)
-        return cls(*zip(*splits), value, n_features)
+                value.extend(zeros)
+            feature.append(j)
+            threshold.append(thr)
+            left.append(lo)
+            right.append(hi)
+        shapes.append((n, n_features))
+    if not shapes:
+        return []
+    roots = np.zeros(len(shapes), dtype=np.int32)
+    np.cumsum([n for n, _ in shapes[:-1]], out=roots[1:])
+    packed = PackedTrees(
+        np.array(feature, dtype=np.int32), np.array(threshold), np.array(left, dtype=np.int32),
+        np.array(right, dtype=np.int32), np.array(value, dtype=float).reshape(-1, dim), roots,
+    )
+    return [RegressionTree._slice(packed, a, n, int(n_features))
+            for a, (n, n_features) in zip(roots.tolist(), shapes)]
+
+
+def pack_trees(trees: Sequence[RegressionTree]) -> PackedTrees:
+    """Concatenate the nodes of ``trees`` (outputs of one length) into one set.
+
+    Each tree then reads its nodes from that set, so they are stored once.
+    Trees that already fill one set, in order, stay where they are.
+    """
+    if not trees:
+        empty = np.zeros(0, dtype=np.int32)
+        return PackedTrees(empty, np.zeros(0), empty, empty, np.zeros((0, 0)), empty)
+    roots = np.zeros(len(trees), dtype=np.int32)
+    np.cumsum([tree.n_nodes for tree in trees[:-1]], out=roots[1:])
+    starts = roots.tolist()
+    nodes = trees[0]._nodes
+    if (roots[-1] + trees[-1].n_nodes == nodes.feature.shape[0]
+            and all(t._nodes is nodes and t._start == a for t, a in zip(trees, starts))):
+        return nodes
+    packed = PackedTrees(
+        *(np.concatenate([getattr(tree, name) for tree in trees]) for name in _COLUMNS), roots
+    )
+    for tree, a in zip(trees, starts):
+        tree._nodes, tree._start = packed, a
+    return packed
+
+
+def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
+    """Leaf values of every (row, tree) pair: X (T, p), roots (*s) -> (T, *s, d).
+
+    All pairs step down together until each sits at a leaf.  Rows with value
+    <= threshold go left; NaN goes right.  Routing ends because every child
+    comes after its parent (``trees_from_dicts`` checks this for loaded trees).
+    """
+    roots = np.asarray(roots)
+    rel = np.zeros((X.shape[0], *roots.shape), dtype=np.int32)  # each pair's node, from its root
+    # Each pair's row offset into X, so that one 1-d take reads the features
+    # (int32 while it fits: mixed-width index sums are slow).  At a leaf,
+    # feature -1 reads another entry of X, harmless as a leaf is its own child.
+    offset = np.arange(X.shape[0], dtype=np.int32 if X.size < 2**31 else np.intp) * X.shape[1]
+    base = offset.reshape(-1, *(1,) * roots.ndim)
+    flat = np.ascontiguousarray(X).ravel()
+    while True:
+        node = roots + rel
+        left = np.take(packed.left, node)
+        if np.array_equal(left, rel):
+            return np.take(packed.value, node, axis=0)
+        x = np.take(flat, base + np.take(packed.feature, node))
+        go_left = x <= np.take(packed.threshold, node)
+        rel = np.where(go_left, left, np.take(packed.right, node))
 
 
 def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:
@@ -150,12 +260,13 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams()) ->
     value: list[np.ndarray] = []
 
     def add_node() -> int:
+        node = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
+        left.append(node)
+        right.append(node)
         value.append(np.zeros(Y.shape[1]))
-        return len(feature) - 1
+        return node
 
     def build(Xs: np.ndarray, Ys: np.ndarray, depth: int) -> int:
         node = add_node()

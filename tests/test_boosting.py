@@ -16,8 +16,8 @@ from wgboost.boosting import (
     save_model,
     task_config,
 )
-from wgboost.directions import DirectionKind
-from wgboost.errors import DataError
+from wgboost.directions import DirectionKind, compute_direction
+from wgboost.errors import DataError, NumericError
 from wgboost.evaluate import Standardization, predictive_nll_normal
 from wgboost.kernel import KernelConfig
 from wgboost.targets import GaussianTarget, NormalLocationScaleTarget
@@ -447,3 +447,116 @@ def test_model_file_without_an_object_is_a_data_error(tmp_path):
     path.write_text("[]")
     with pytest.raises(DataError, match="JSON object"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["init_particles"][1].__setitem__(0, float("nan")),
+        lambda doc: doc["init_particles"][0].__setitem__(1, float("-inf")),
+        lambda doc: doc["ensembles"][2][1]["nodes"][2]["value"].__setitem__(1, float("nan")),
+        lambda doc: doc["ensembles"][0][3]["nodes"][-1]["value"].__setitem__(0, float("inf")),
+        lambda doc: doc.update(y_mean=float("nan")),
+        lambda doc: doc.update(y_std=float("nan")),
+        lambda doc: doc.update(y_std=float("-inf")),
+    ],
+    ids=["nan-init", "inf-init", "nan-leaf", "inf-leaf", "nan-y-mean", "nan-y-std", "inf-y-std"],
+)
+def test_non_finite_model_numbers_are_a_data_error(tmp_path, mutate):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="finite"):
+        load_model(path)
+
+
+def test_initializer_numeric_error_names_the_step(monkeypatch):
+    import wgboost.boosting as boosting
+
+    calls = []
+
+    def fail_at_step_2(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericError("smoothed Hessian is singular for datum 0")
+        return compute_direction(*args, **kwargs)
+
+    monkeypatch.setattr(boosting, "compute_direction", fail_at_step_2)
+    X, _, targets, _ = small_regression()
+    with pytest.raises(NumericError, match="^initializer step 2: smoothed Hessian is singular"):
+        fit(X, targets, quick_cfg())
+
+
+def _leaves(tree, X):
+    """The leaf of every row of X, by a plain Python walk of the tree's nodes."""
+    feature, threshold, left, right = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right)
+    )
+    leaves = []
+    for x in X:
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        leaves.append(node)
+    return leaves
+
+
+def _walk_stages(model, X):
+    """The particles of ``model`` on rows X after each round, summed tree by
+    tree from :func:`_leaves`: the reference for packed routing."""
+    n, d = model.init_particles.shape
+    F = np.broadcast_to(model.init_particles, (len(X), n, d)).copy()
+    stages = [F.copy()]
+    for m in range(model.n_iterations):
+        for i, trees in enumerate(model.ensembles):
+            leaves = _leaves(trees[m], X)
+            F[:, i, :] += model.config.learning_rate * trees[m].value[leaves].reshape(len(X), d)
+        stages.append(F.copy())
+    return stages
+
+
+def _packed_case(case):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 3))
+    if case in ("unbalanced", "single-leaf"):
+        targets, _ = make_regression_targets(np.sin(2 * X[:, 0]) + X[:, 1] ** 2)
+        depth = 4 if case == "unbalanced" else 0
+        model = fit(X, targets, quick_cfg(tree=TreeParams(max_depth=depth)))
+    else:
+        k = {"d=1": 2, "d=3": 4}[case]
+        labels = 1 + np.digitize(X[:, 0] + 0.5 * X[:, 1], np.linspace(-1, 1, k + 1)[1:-1])
+        model = fit(X, make_classification_targets(labels, k), quick_cfg(learning_rate=0.4))
+    return model
+
+
+@pytest.mark.parametrize("case", ["unbalanced", "single-leaf", "d=1", "d=3"])
+def test_packed_prediction_matches_a_walk_of_every_tree(case):
+    from wgboost.boosting import _ROUTE_PAIRS
+
+    model = _packed_case(case)
+    n, d = model.init_particles.shape
+    sizes = {tree.n_nodes for trees in model.ensembles for tree in trees}
+    if case == "unbalanced":
+        assert sizes - {1, 3, 7, 15, 31}  # some tree is not complete
+    elif case == "single-leaf":
+        assert sizes == {1}
+    else:
+        assert d == {"d=1": 1, "d=3": 3}[case]
+    rows = np.random.default_rng(12).normal(size=(4000, 3))
+    rows[:6] = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf],
+                [-np.inf, np.nan, np.inf], [np.inf, -np.inf, np.nan], [np.nan] * 3]
+    # the rows are enough that a block of routed rounds holds fewer than all
+    assert _ROUTE_PAIRS // (len(rows) * n) < model.n_iterations
+    want = _walk_stages(model, rows)
+    got = [F.copy() for F in model.staged_predict(rows)]
+    assert len(got) == len(want) == model.n_iterations + 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(model.predict(rows), want[-1])
+    for m in (0, 4, model.n_iterations + 5):
+        assert np.array_equal(model.predict(rows, num_trees=m), want[min(m, model.n_iterations)])
+    for r in (0, 3, 1234):
+        assert np.array_equal(model.predict(rows[r]), want[-1][r])
+    assert model.predict(rows[:0]).shape == (0, n, d)
+    tree = model.ensembles[1][2]
+    assert np.array_equal(tree.predict(rows), tree.value[_leaves(tree, rows)])
