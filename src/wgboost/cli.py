@@ -226,6 +226,10 @@ def _cmd_train(args) -> None:
     early = _setting(args, doc, "early_stopping", False)
     val_fraction = _setting(args, doc, "val_fraction", 0.2)
     threads = _setting(args, doc, "threads", 1)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     out_model = _setting(args, doc, "out_model", "model.json")
     out_log = _setting(args, doc, "out_log")
     cfg = _build_boost_config(task, _setting(args, doc, "boost", {}), args, seed)

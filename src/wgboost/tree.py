@@ -7,6 +7,14 @@ taken.  Candidate thresholds are midpoints between consecutive distinct
 feature values; rows with value <= threshold go left.  Ties are broken toward
 the lowest feature index, then the lowest threshold, so refits are
 reproducible bit for bit.
+
+Features are sorted once per fit, not once per node (CART presorting, as in
+XGBoost's exact-greedy column blocks): :func:`presort` gives, for every
+feature, the row ids stably sorted by that feature.  A node holds its rows in
+that sorted order, and its children get theirs by a stable partition of the
+node's.  A stable partition of a stable argsort is the stable argsort of the
+subset, so every split is the one a per-node sort would find.  The boosting
+loop presorts its rows once and hands the order to all the trees it fits.
 """
 
 from __future__ import annotations
@@ -130,10 +138,11 @@ class RegressionTree:
 def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
     """Rebuild trees from :meth:`RegressionTree.to_dict` output, packed in order.
 
-    Raises DataError unless every tree has leaves, all with values of one
-    length shared by all the trees, and every split has a float threshold
-    (not NaN), an integer feature in [0, n_features) and integer children
-    after it, so that routing always ends at a leaf.
+    Raises DataError unless every tree is an object with a list of node
+    objects and an integer ``n_features``, every tree has leaves, all with
+    number values of one length shared by all the trees, and every split has
+    a float threshold (not NaN), an integer feature in [0, n_features) and
+    integer children after it, so that routing always ends at a leaf.
     """
     # one flat list per node array: tuples per node would be tracked by the
     # garbage collector, whose passes over the caller's parsed JSON dominate
@@ -144,41 +153,56 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
     value: list[float] = []  # value rows, flattened; zeros at splits
     shapes: list[tuple[int, int]] = []  # (n_nodes, n_features) of every tree
     dim = None
-    for doc in docs:
-        nodes, n_features = doc["nodes"], doc["n_features"]
-        n = len(nodes)
-        dims = {len(nd["value"]) for nd in nodes if "value" in nd}
-        if len(dims) != 1 or dims != {dim} and dim is not None:
-            raise DataError(f"trees need leaves with values of one length, got lengths "
-                            f"{sorted(dims | {dim} - {None})}")
-        dim = dims.pop()
-        zeros = [0.0] * dim
-        for i, nd in enumerate(nodes):
-            if "value" in nd:
-                j, thr, lo, hi = -1, np.nan, i, i
-                value.extend(nd["value"])
-            else:
-                j, thr, lo, hi = nd["feature"], nd["threshold"], nd["left"], nd["right"]
-                if not (type(j) is type(lo) is type(hi) is int and type(thr) is float and thr == thr
-                        and 0 <= j < n_features and i < lo < n and i < hi < n):
-                    raise DataError(
-                        f"tree node {i} splits on feature {j!r} at {thr!r} into nodes {lo!r} and "
-                        f"{hi!r}; need a float threshold and integers with 0 <= feature < "
-                        f"{n_features} and {i} < child < {n}"
-                    )
-                value.extend(zeros)
-            feature.append(j)
-            threshold.append(thr)
-            left.append(lo)
-            right.append(hi)
+    for t, doc in enumerate(docs):
+        try:
+            nodes, n_features = doc["nodes"], doc["n_features"]
+            if type(nodes) is not list or type(n_features) is not int:
+                raise DataError(f"tree {t} needs a list of 'nodes' and an integer 'n_features', "
+                                f"got {type(nodes).__name__} and {n_features!r}")
+            n = len(nodes)
+            dims = {len(nd["value"]) for nd in nodes if "value" in nd}
+            if len(dims) != 1 or dims != {dim} and dim is not None:
+                raise DataError(f"trees need leaves with values of one length, got lengths "
+                                f"{sorted(dims | {dim} - {None})}")
+            dim = dims.pop()
+            zeros = [0.0] * dim
+            for i, nd in enumerate(nodes):
+                if "value" in nd:
+                    j, thr, lo, hi = -1, np.nan, i, i
+                    value.extend(nd["value"])
+                else:
+                    j, thr, lo, hi = nd["feature"], nd["threshold"], nd["left"], nd["right"]
+                    if not (type(j) is type(lo) is type(hi) is int and type(thr) is float
+                            and thr == thr and 0 <= j < n_features and i < lo < n and i < hi < n):
+                        raise DataError(
+                            f"tree node {i} splits on feature {j!r} at {thr!r} into nodes {lo!r} "
+                            f"and {hi!r}; need a float threshold and integers with 0 <= feature "
+                            f"< {n_features} and {i} < child < {n}"
+                        )
+                    value.extend(zeros)
+                feature.append(j)
+                threshold.append(thr)
+                left.append(lo)
+                right.append(hi)
+        except KeyError as err:
+            raise DataError(f"tree {t} or one of its nodes lacks the key {err.args[0]!r}") from None
+        except TypeError as err:  # a tree or node that is not an object, a value without a length
+            raise DataError(f"tree {t} is malformed: {err}") from None
         shapes.append((n, n_features))
     if not shapes:
         return []
+    try:
+        values = np.array(value)  # no dtype: strings or nulls must not convert
+    except ValueError as err:  # nested lists of uneven shape
+        raise DataError(f"tree leaf 'value' entries must be lists of numbers: {err}") from None
+    if values.dtype.kind not in "fi" or values.ndim != 1:
+        raise DataError(f"tree leaf 'value' entries must be lists of numbers, got {values.dtype} "
+                        f"entries")
     roots = np.zeros(len(shapes), dtype=np.int32)
     np.cumsum([n for n, _ in shapes[:-1]], out=roots[1:])
     packed = PackedTrees(
         np.array(feature, dtype=np.int32), np.array(threshold), np.array(left, dtype=np.int32),
-        np.array(right, dtype=np.int32), np.array(value, dtype=float).reshape(-1, dim), roots,
+        np.array(right, dtype=np.int32), values.astype(float, copy=False).reshape(-1, dim), roots,
     )
     return [RegressionTree._slice(packed, a, n, int(n_features))
             for a, (n, n_features) in zip(roots.tolist(), shapes)]
@@ -233,12 +257,23 @@ def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
         rel = np.where(go_left, left, np.take(packed.right, node))
 
 
-def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row ids of X (D, p) stably sorted by each feature: a (p, D) array."""
+    return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
+
+
+def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
+             order: np.ndarray | None = None) -> RegressionTree:
     """Fit a tree to features X (D, p) and targets Y (D, d).
 
     Every leaf value is the exact mean of the target rows routed to it.  A
     node becomes a leaf when it reaches max_depth, holds fewer than
     min_samples_split rows, or no candidate split reduces the squared error.
+
+    ``order`` is ``presort(X)``, for callers that fit many trees on one X;
+    it is computed here when None.  Only its shape, (p, D), is checked.
+    Such callers also pass X column-major (``np.asfortranarray``), which
+    spares every tree a transposed copy.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -252,6 +287,13 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams()) ->
         raise DataError("tree features contain non-finite values")
     if not np.all(np.isfinite(Y)):
         raise DataError("tree targets contain non-finite values")
+    if order is None:
+        order = presort(X)
+    elif np.shape(order) != X.shape[::-1]:
+        raise ValueError(f"order must be presort(X), of shape {X.shape[::-1]}, got "
+                         f"{np.shape(order)}")
+    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+    p = XT.shape[0]
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -268,62 +310,86 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams()) ->
         value.append(np.zeros(Y.shape[1]))
         return node
 
-    def build(Xs: np.ndarray, Ys: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, order: np.ndarray, keep: np.ndarray | None, depth: int) -> int:
+        """Grow the subtree of ``rows`` (in index order).
+
+        Its rows sorted by each feature are ``order[keep]``, a stable partition
+        of the parent's sorted rows (all of ``order`` when ``keep`` is None),
+        taken only if the node can split.
+        """
         node = add_node()
-        value[node] = Ys.mean(axis=0)
-        n = Xs.shape[0]
-        if depth >= params.max_depth or n < params.min_samples_split:
+        value[node] = Y[rows].mean(axis=0)
+        if depth >= params.max_depth or rows.size < params.min_samples_split:
             return node
-        split = _best_split(Xs, Ys, params.min_samples_leaf)
+        if keep is not None:
+            order = order[keep].reshape(p, rows.size)
+        split = _best_split(XT, YT, order, params.min_samples_leaf)
         if split is None:
             return node
         j, thr = split
-        mask = Xs[:, j] <= thr
+        mask = XT[j, rows] <= thr
         if not mask.any() or mask.all():
             return node
         feature[node] = j
         threshold[node] = thr
-        left[node] = build(Xs[mask], Ys[mask], depth + 1)
-        right[node] = build(Xs[~mask], Ys[~mask], depth + 1)
+        goes_left = np.take(XT[j], order) <= thr  # (p, n), in each feature's sorted order
+        left[node] = build(rows[mask], order, goes_left, depth + 1)
+        right[node] = build(rows[~mask], order, ~goes_left, depth + 1)
         return node
 
-    build(X, Y, 0)
+    build(np.arange(X.shape[0]), order, None, 0)
     return RegressionTree(feature, threshold, left, right, np.stack(value), X.shape[1])
 
 
-def _best_split(Xs: np.ndarray, Ys: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norms over the first axis of ``a`` (d, ...).
+
+    Bit for bit what ``np.sum(v**2, axis=-1)`` gives for each contiguous
+    vector ``v``: numpy sums fewer than 8 terms left to right, which the
+    whole-array adds here repeat; from 8 terms on it sums pairwise, so np.sum
+    stays.
+    """
+    if a.shape[0] >= 8:
+        return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)) ** 2, axis=-1)
+    out = a[0] ** 2
+    for k in range(1, a.shape[0]):
+        out += a[k] ** 2
+    return out
+
+
+def _best_split(XT: np.ndarray, YT: np.ndarray, order: np.ndarray,
+                min_leaf: int) -> tuple[int, float] | None:
     """Scan all features at once; return (feature, threshold) or None.
 
-    Uses the identity SSE(parent) - SSE(children) =
-    sum_parts |sum Y|^2 / count - |sum Y|^2 / n, evaluated for all split
-    positions from per-feature prefix sums.
+    XT (p, D) and YT (d, D) are the transposed features and targets, and
+    ``order`` the node's (p, n) row ids sorted by each feature.  Uses the
+    identity SSE(parent) - SSE(children) = sum_parts |sum Y|^2 / count -
+    |sum Y|^2 / n, evaluated for all split positions from per-feature prefix
+    sums.
     """
-    n, p = Xs.shape
+    p, n = order.shape
     if n < 2 * min_leaf:
         return None
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    ys = Ys[order]  # (n, p, d)
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1, 0]  # (d,), identical across features
-    n_left = np.arange(1, n, dtype=float)[:, None]
+    xs = np.take_along_axis(XT, order, axis=1)  # (p, n)
+    csum = np.cumsum(np.take(YT, order, axis=1), axis=2)  # (d, p, n): contiguous prefix sums
+    total = csum[:, 0, -1]  # (d,), identical across features
+    n_left = np.arange(1, n, dtype=float)
     n_right = n - n_left
-    left_sum = csum[:-1]
-    right_sum = total[None, None, :] - left_sum
-    score = np.sum(left_sum**2, axis=2) / n_left + np.sum(right_sum**2, axis=2) / n_right
+    right_sum = (total[:, None, None] - csum)[..., :-1]
+    score = _squared_norms(csum[..., :-1]) / n_left + _squared_norms(right_sum) / n_right
     parent = float(np.sum(total**2) / n)
     gain = score - parent
 
-    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    valid = (xs[:, 1:] > xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
     gain[~valid] = -np.inf
-    flat = gain.T.ravel()  # feature-major, so argmax tie-breaks on feature then threshold
+    flat = gain.ravel()  # feature-major, so argmax tie-breaks on feature then threshold
     best = int(np.argmax(flat))
     if not flat[best] > _GAIN_TOL * max(1.0, abs(parent)):
         return None
     j, pos = divmod(best, n - 1)
-    thr = 0.5 * (xs[pos, j] + xs[pos + 1, j])
-    if thr >= xs[pos + 1, j]:
+    thr = 0.5 * (xs[j, pos] + xs[j, pos + 1])
+    if thr >= xs[j, pos + 1]:
         # midpoint rounded up to the right value; fall back to the left one
         # so that "<= threshold" reproduces the scored partition
-        thr = xs[pos, j]
+        thr = xs[j, pos]
     return int(j), float(thr)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,42 @@ def test_structurally_bad_model_is_a_data_error(tmp_path, mutate):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda doc: doc["ensembles"][1][2].pop("nodes"), "nodes"),
+        (lambda doc: doc.pop("k"), "k"),
+        (lambda doc: doc.update(y_std=None), "y_std"),
+        (lambda doc: doc.update(ensembles=5), "ensembles"),
+        (lambda doc: doc["ensembles"][0][0]["nodes"][2].update(value="ab"), "value"),
+        (lambda doc: doc["ensembles"][0][0]["nodes"][2]["value"].__setitem__(0, "0.5"), "value"),
+        (lambda doc: doc.update(init_particles="abc"), "init_particles"),
+        (lambda doc: doc["init_particles"][0].__setitem__(0, "1"), "init_particles"),
+        (lambda doc: doc["config"]["tree"].pop("max_depth"), "tree.max_depth"),
+        (lambda doc: doc["ensembles"][0][0]["nodes"].__setitem__(0, 7), "tree 0"),
+        (lambda doc: doc["ensembles"][0][0]["nodes"][0].pop("left"), "left"),
+    ],
+    ids=["no-nodes", "no-k", "null-y-std", "int-ensembles", "string-leaf", "string-leaf-entry",
+         "string-init", "string-init-entry", "no-config-key", "int-node", "no-left"],
+)
+def test_malformed_model_json_is_a_data_error_naming_the_key(tmp_path, mutate, key):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(key)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text", ['{"format_version": 1,', "[" * 100_000 + "]" * 100_000],
+                         ids=["truncated", "nested-too-deep"])
+def test_model_file_that_is_not_json_is_a_data_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match="JSON"):
         load_model(path)
 
 

@@ -283,3 +283,44 @@ def test_negative_seed_is_a_config_error(tmp_path, reg_csv, capsys, monkeypatch,
     assert run(*argv.get(source, ["train", "--config", cfg, "--out-model", out])) == 2
     assert capsys.readouterr().err.startswith("config error: seed")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("threads", 0), ("threads", -3), ("val_fraction", 0.0), ("val_fraction", 1.0),
+     ("val_fraction", -0.2), ("val_fraction", 1.5)],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, capsys, key, value,
+                                                                    source):
+    # the data file does not exist: reading it first would be a data error, exit 3
+    doc = {"task": "regression", "data": str(tmp_path / "missing.csv"), "label_column": "y",
+           "early_stopping": True}
+    argv = []
+    if source == "flag":
+        argv = ["--" + key.replace("_", "-"), value]
+    else:
+        doc[key] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    model = tmp_path / "m.json"
+    assert run("train", "--config", cfg, "--out-model", model, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    assert not model.exists()
+
+
+def test_malformed_model_is_exit_3_naming_the_key(tmp_path, reg_csv, capsys):
+    model = tmp_path / "m.json"
+    assert run(
+        "train", "--data", reg_csv, "--task", "regression", "--label-column", "y",
+        "--max-iterations", 2, "--init-steps", 10, "--out-model", model,
+    ) == 0
+    doc = json.loads(model.read_text())
+    del doc["ensembles"][0][1]["nodes"]
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert run("predict", "--model", model, "--data", reg_csv, "--label-column", "y",
+               "--out", out) == 3
+    assert "'nodes'" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wgboost.boosting
+from wgboost.boosting import (BoostConfig, InitConfig, fit, make_classification_targets,
+                              make_regression_targets, save_model)
 from wgboost.errors import DataError
-from wgboost.tree import RegressionTree, TreeParams, fit_tree
+from wgboost.tree import RegressionTree, TreeParams, _squared_norms, fit_tree, presort
 
 
 def brute_force_best_sse(X, Y, min_leaf=1):
@@ -206,3 +209,151 @@ def test_params_validation():
         TreeParams(min_samples_leaf=0)
     with pytest.raises(ValueError):
         TreeParams(min_samples_split=1)
+
+
+def reference_fit_tree(X, Y, params=TreeParams(), order=None):
+    """``fit_tree`` as it was before presorting: every node argsorts its own rows.
+
+    ``order`` is accepted and ignored, so that this can stand in for fit_tree.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add_node():
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(node)
+        right.append(node)
+        value.append(np.zeros(Y.shape[1]))
+        return node
+
+    def build(Xs, Ys, depth):
+        node = add_node()
+        value[node] = Ys.mean(axis=0)
+        n = Xs.shape[0]
+        if depth >= params.max_depth or n < params.min_samples_split:
+            return node
+        split = reference_best_split(Xs, Ys, params.min_samples_leaf)
+        if split is None:
+            return node
+        j, thr = split
+        mask = Xs[:, j] <= thr
+        if not mask.any() or mask.all():
+            return node
+        feature[node] = j
+        threshold[node] = thr
+        left[node] = build(Xs[mask], Ys[mask], depth + 1)
+        right[node] = build(Xs[~mask], Ys[~mask], depth + 1)
+        return node
+
+    build(X, Y, 0)
+    return RegressionTree(feature, threshold, left, right, np.stack(value), X.shape[1])
+
+
+def reference_best_split(Xs, Ys, min_leaf):
+    n, p = Xs.shape
+    if n < 2 * min_leaf:
+        return None
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    ys = Ys[order]  # (n, p, d)
+    csum = np.cumsum(ys, axis=0)
+    total = csum[-1, 0]
+    n_left = np.arange(1, n, dtype=float)[:, None]
+    n_right = n - n_left
+    left_sum = csum[:-1]
+    right_sum = total[None, None, :] - left_sum
+    score = np.sum(left_sum**2, axis=2) / n_left + np.sum(right_sum**2, axis=2) / n_right
+    parent = float(np.sum(total**2) / n)
+    gain = score - parent
+    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    gain[~valid] = -np.inf
+    flat = gain.T.ravel()
+    best = int(np.argmax(flat))
+    if not flat[best] > 1e-12 * max(1.0, abs(parent)):
+        return None
+    j, pos = divmod(best, n - 1)
+    thr = 0.5 * (xs[pos, j] + xs[pos + 1, j])
+    if thr >= xs[pos + 1, j]:
+        thr = xs[pos, j]
+    return int(j), float(thr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p=st.integers(1, 4),
+    d=st.sampled_from([1, 2, 3, 7, 8, 9]),  # numpy sums 8 or more terms pairwise
+    min_leaf=st.integers(1, 5),
+    min_split=st.integers(2, 8),
+    depth=st.integers(0, 5),
+    integer_targets=st.booleans(),  # exact sums, so equal gains tie exactly
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_presorted_fit_matches_the_per_node_sort(n, p, d, min_leaf, min_split, depth,
+                                                 integer_targets, seed):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, p)), 1)  # duplicates on purpose
+    if integer_targets:
+        Y = rng.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        Y = rng.normal(size=(n, d))
+    params = TreeParams(depth, min_leaf, min_split)
+    got, want = fit_tree(X, Y, params), reference_fit_tree(X, Y, params)
+    assert got.to_dict() == want.to_dict()
+    assert np.array_equal(got.value, want.value)
+    assert fit_tree(X, Y, params, presort(X)).to_dict() == want.to_dict()
+
+
+def test_children_of_a_fallback_threshold_split_further():
+    # the threshold falls back to the left value a (see the test above), and
+    # the presorted rows of both children must still follow "<= threshold"
+    a = 1.0
+    b = np.nextafter(a, 2.0)
+    X = np.array([[a, 0.0], [a, 1.0], [b, 0.0], [b, 1.0]])
+    Y = np.array([[0.0], [1.0], [10.0], [11.0]])
+    tree = fit_tree(X, Y, TreeParams(max_depth=2))
+    assert tree.to_dict() == reference_fit_tree(X, Y, TreeParams(max_depth=2)).to_dict()
+    assert tree.threshold[0] == a and tree.n_nodes == 7
+    assert np.array_equal(tree.predict(X), Y)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_squared_norms_add_like_numpy_sum(d):
+    # the per-node search summed each contiguous d-vector with np.sum
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, 4, 50)) * np.exp(rng.normal(scale=5.0, size=(d, 4, 50)))
+    want = np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)) ** 2, axis=-1)
+    assert np.array_equal(_squared_norms(a), want)
+
+
+def test_order_must_have_the_presort_shape():
+    X = np.random.default_rng(2).normal(size=(10, 3))
+    Y = np.ones((10, 1))
+    with pytest.raises(ValueError, match="presort"):
+        fit_tree(X, Y, order=presort(X).T)
+    with pytest.raises(ValueError, match="presort"):
+        fit_tree(X, Y, order=presort(X[:9]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task, subsample, threads):
+    rng = np.random.default_rng(11)
+    X = np.round(rng.normal(size=(70, 3)), 1)
+    if task == "regression":
+        targets, _ = make_regression_targets(np.sin(X[:, 0]) + 0.3 * rng.normal(size=70))
+    else:
+        targets = make_classification_targets(1 + (X[:, 0] > 0) + (X[:, 1] > 0.5))
+    cfg = BoostConfig(n_particles=4, max_iterations=6, learning_rate=0.3,
+                      subsample_fraction=subsample, tree=TreeParams(max_depth=3),
+                      init=InitConfig(steps=10), seed=3)
+    paths = []
+    for fitter in (fit_tree, reference_fit_tree):
+        monkeypatch.setattr(wgboost.boosting, "fit_tree", fitter)
+        paths.append(tmp_path / f"{fitter.__name__}.json")
+        save_model(fit(X, targets, cfg, threads=threads), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
