@@ -33,7 +33,7 @@ import numpy as np
 
 from .directions import DirectionKind, compute_direction
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import Standardization, predictive_nll_categorical, predictive_nll_normal
+from .evaluate import STD_FLOOR, Standardization, predictive_nll_categorical, predictive_nll_normal
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
 from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, presort, route,
@@ -505,8 +505,9 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     y_std = _model_field(doc, "y_std", float, nullable=y_mean is None)
     std = None
     if y_mean is not None:
-        if not (math.isfinite(y_mean) and math.isfinite(y_std)):
-            raise DataError(f"model has y_mean {y_mean!r} and y_std {y_std!r}; both must be finite")
+        if not (math.isfinite(y_mean) and math.isfinite(y_std) and y_std >= STD_FLOOR):
+            raise DataError(f"model has y_mean {y_mean!r} and y_std {y_std!r}; both must be finite "
+                            f"and y_std at least {STD_FLOOR}")
         std = Standardization(y_mean, y_std)
     cfg = _config_from_dict(_model_field(doc, "config", dict))
     n_features = _model_field(doc, "n_features", int)
@@ -532,15 +533,27 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     if shapes - {(n_features, init.shape[1])}:
         raise DataError(f"trees map (features, outputs) {sorted(shapes)}, expected "
                         f"{(n_features, init.shape[1])} as the model does")
+    family = _model_field(doc, "target_family", str)
+    k = _model_field(doc, "k", int, nullable=True)
+    if family == "categorical" and k != init.shape[1] + 1:
+        raise DataError(f"a categorical model over {init.shape[1]} log-ratio coordinates needs "
+                        f"k = {init.shape[1] + 1}, got {k!r}")
+    labels = _model_field(doc, "label_values", list, nullable=True)
+    if labels is not None and not (
+        all(type(v) in (str, int, float) for v in labels) and len(set(labels)) == len(labels)
+        and (family != "categorical" or len(labels) == k)
+    ):
+        raise DataError(f"model label_values must be distinct strings or numbers, one per class; "
+                        f"got {labels!r}")
     model = WGBoostModel(
         config=cfg,
-        target_family=_model_field(doc, "target_family", str),
+        target_family=family,
         init_particles=init,
         ensembles=ensembles,
         n_features=n_features,
-        num_classes=_model_field(doc, "k", int, nullable=True),
+        num_classes=k,
         standardization=std,
-        label_values=_model_field(doc, "label_values", list, nullable=True),
+        label_values=labels,
     )
     if not np.all(np.isfinite(model._packed.value)):
         raise DataError("model trees have non-finite leaf values")

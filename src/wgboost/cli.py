@@ -174,7 +174,7 @@ def _load_config_doc(path: str | None) -> dict:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot open config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8 JSON, or nested too deep to parse
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -34,7 +34,7 @@ def read_table(
     except OSError as err:
         raise DataError(f"cannot open {path}: {err}") from err
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -74,6 +74,14 @@ def read_table(
     if not np.all(np.isfinite(X)):
         raise DataError(f"{path} contains non-finite feature values")
     return X, labels, feature_columns
+
+
+def _csv_rows(fh, path: str):
+    """The rows of ``csv.reader(fh)``, with undecodable bytes and csv faults as DataError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as err:  # csv.Error: e.g. a field over csv's size limit
+        raise DataError(f"{path} is not a readable UTF-8 CSV table: {err}") from None
 
 
 def _is_float(s: str) -> bool:

@@ -9,16 +9,16 @@ metrics average the simplex vectors of the particles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp, ndtr
 
 from .kernel import gaussian
 from .targets import to_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 #: Smallest allowed response standard deviation and class-probability variance.
 STD_FLOOR = 1e-8
@@ -58,7 +58,23 @@ def _mixture_logpdf(particles: np.ndarray, z: np.ndarray) -> np.ndarray:
     s = particles[..., 1]
     resid = (z[..., None] - m) * np.exp(-s)
     comp = -0.5 * _LOG_2PI - s - 0.5 * resid**2
-    return logsumexp(comp, axis=-1) - np.log(particles.shape[-2])
+    return _logsumexp(comp) - np.log(particles.shape[-2])
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, step for step as scipy.special.logsumexp.
+
+    With the m maxima left out of the shifted sum s, it is log1p(s / m) +
+    log(m) + max; where that is not finite (a row of -inf, an inf, a nan) it
+    is log(sum(exp(a))), so a row of -inf gives -inf.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1)
+        out = np.log1p(s / m) + np.log(m) + a_max[..., 0]
+        return np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=-1)))
 
 
 def predictive_nll_normal(
@@ -95,9 +111,10 @@ def predictive_interval_normal(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central predictive interval of the mixture, in raw units.
 
-    Returns (lo, hi) arrays of shape (T,).  Quantiles are found by bisecting
-    the mixture CDF, which is monotone, inside a bracket wide enough to
-    contain all the component mass.
+    Returns (lo, hi) arrays of shape (T,).  Both quantiles of all T rows are
+    found by one bisection of the mixture CDF, which is monotone, inside a
+    bracket wide enough to contain all the component mass; it ends when no
+    midpoint lies strictly inside its bracket.
     """
     particles = np.asarray(particles, dtype=float)
     if not 0.0 < level < 1.0:
@@ -105,19 +122,20 @@ def predictive_interval_normal(
     alpha = 0.5 * (1.0 - level)
     m = particles[..., 0]
     sd = np.exp(particles[..., 1])
-    lo_brk = np.min(m - 9.0 * sd, axis=-1)
-    hi_brk = np.max(m + 9.0 * sd, axis=-1)
-
-    def cdf(z, i):
-        return float(np.mean(ndtr((z - m[i]) / sd[i])))
-
-    T = particles.shape[0]
-    lo = np.empty(T)
-    hi = np.empty(T)
-    for i in range(T):
-        lo[i] = brentq(lambda z: cdf(z, i) - alpha, lo_brk[i], hi_brk[i])
-        hi[i] = brentq(lambda z: cdf(z, i) - (1.0 - alpha), lo_brk[i], hi_brk[i])
-    return standardization.destandardize(lo), standardization.destandardize(hi)
+    target = np.array([alpha, 1.0 - alpha])  # row 0 of the brackets is the lower quantile's
+    lo = np.array([np.min(m - 9.0 * sd, axis=-1)] * 2)
+    hi = np.array([np.max(m + 9.0 * sd, axis=-1)] * 2)
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
+        if not active.any():
+            break
+        q, row = np.nonzero(active)
+        z = (mid[active][:, None] - m[row]) / sd[row]
+        below = np.mean(0.5 * _ERFC(z / -math.sqrt(2.0)).astype(float), axis=-1) < target[q]
+        lo[active] = np.where(below, mid[active], lo[active])
+        hi[active] = np.where(below, hi[active], mid[active])
+    return standardization.destandardize(mid[0]), standardization.destandardize(mid[1])
 
 
 def predictive_class_probs(particles: np.ndarray, k: int) -> np.ndarray:

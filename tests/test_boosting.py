@@ -1,9 +1,14 @@
+import copy
 import json
 import re
+from datetime import timedelta
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wgboost.boosting import (
     BoostConfig,
@@ -19,7 +24,7 @@ from wgboost.boosting import (
 )
 from wgboost.directions import DirectionKind, compute_direction
 from wgboost.errors import DataError, NumericError
-from wgboost.evaluate import Standardization, predictive_nll_normal
+from wgboost.evaluate import Standardization, predictive_class_probs, predictive_nll_normal
 from wgboost.kernel import KernelConfig
 from wgboost.targets import GaussianTarget, NormalLocationScaleTarget
 from wgboost.tree import TreeParams
@@ -597,3 +602,91 @@ def test_packed_prediction_matches_a_walk_of_every_tree(case):
     assert model.predict(rows[:0]).shape == (0, n, d)
     tree = model.ensembles[1][2]
     assert np.array_equal(tree.predict(rows), tree.value[_leaves(tree, rows)])
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda doc: doc.update(target_family="categorical", k=5, label_values=None), "k = 3"),
+        (lambda doc: doc.update(target_family="categorical", k=None, label_values=None), "k = 3"),
+        (lambda doc: doc.update(target_family="categorical", k=3, label_values=[["a"], "b", "c"]),
+         "label_values"),
+        (lambda doc: doc.update(target_family="categorical", k=3, label_values=["a", "b"]),
+         "label_values"),
+        (lambda doc: doc.update(target_family="categorical", k=3, label_values=["a", "b", "a"]),
+         "label_values"),
+        (lambda doc: doc.update(y_std=0.0), "y_std"),
+        (lambda doc: doc.update(y_std=-0.5), "y_std"),
+        (lambda doc: doc.update(y_std=1e-9), "y_std"),  # below the floor that fitting applies
+    ],
+    ids=["k-vs-dimension", "categorical-without-k", "list-label", "too-few-labels",
+         "repeated-label", "zero-y-std", "negative-y-std", "y-std-under-floor"],
+)
+def test_inconsistent_model_fields_are_a_data_error(tmp_path, mutate, match):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_model(path)
+
+
+def test_consistent_categorical_fields_load(tmp_path):
+    doc = json.loads(V1_MODEL.read_text())
+    doc.update(target_family="categorical", k=3, label_values=["a", "b", "c"])
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    assert (model.num_classes, model.label_values) == (3, ["a", "b", "c"])
+    assert predictive_class_probs(model.predict(V1_ROWS), 3).shape == (3, 3)
+
+
+def _json_paths(node, path=()):
+    """The key path of every value inside a parsed JSON document, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+V1_DOC = json.loads(V1_MODEL.read_text())
+V1_PATHS = list(_json_paths(V1_DOC))[1:]
+# half the draws go to the few values outside the trees, which the trees would outnumber
+_MUTANT_PATHS = st.sampled_from([p for p in V1_PATHS if p[0] != "ensembles"]) | st.sampled_from(V1_PATHS)
+# the family names let a mutant change a model's family
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=2)
+                 | st.sampled_from(["normal", "categorical", "gaussian"]))
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2)
+
+
+_JSON_VALUES = _JSON_SCALARS | st.recursive(_JSON_SCALARS, _json_containers, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=_MUTANT_PATHS, action=st.sampled_from(["replace", "splice", "delete"]),
+       data=st.data())
+def test_mutated_model_is_a_data_error_or_predicts_finite_values(tmp_path, path, action, data):
+    """Change, copy over or delete one value of a saved model: it loads and predicts, or fails cleanly."""
+    doc = copy.deepcopy(V1_DOC)
+    *parents, key = path
+    parent = reduce(getitem, parents, doc)
+    if action == "delete":
+        del parent[key]
+    elif action == "splice":
+        parent[key] = copy.deepcopy(reduce(getitem, data.draw(st.sampled_from(V1_PATHS)), V1_DOC))
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+    model_path = tmp_path / "mutant.json"
+    model_path.write_text(json.dumps(doc))
+    try:
+        model = load_model(model_path)
+    except DataError:
+        return
+    preds = model.predict(V1_ROWS)
+    assert np.all(np.isfinite(preds))
+    if model.target_family == "categorical":
+        assert np.all(np.isfinite(predictive_class_probs(preds, model.num_classes)))

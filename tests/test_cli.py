@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wgboost
 from wgboost.cli import main
 
 
@@ -324,3 +329,40 @@ def test_malformed_model_is_exit_3_naming_the_key(tmp_path, reg_csv, capsys):
                "--out", out) == 3
     assert "'nodes'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", [b"\xff{}", b"[" * 200_000 + b"]" * 200_000], ids=["not-utf-8", "nested-too-deep"]
+)
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(text)
+    assert run("train", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config {cfg} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [({"target_family": "categorical", "k": 5}, "needs k = 3"),
+     ({"target_family": "categorical", "k": 3, "label_values": [["up"], "down", "x"]}, "label_values"),
+     ({"y_std": 0.0}, "y_std")],
+    ids=["k-vs-dimension", "list-label", "zero-y-std"],
+)
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_inconsistent_model_is_exit_3(tmp_path, reg_csv, capsys, doc, error, command):
+    model = tmp_path / "m.json"
+    model_doc = json.loads((Path(__file__).with_name("model_v1.json")).read_text())
+    model.write_text(json.dumps({**model_doc, **doc}))
+    out = tmp_path / "out.csv"
+    assert run(command, "--model", model, "--data", reg_csv, "--label-column", "y", "--out", out) == 3
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(wgboost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, wgboost.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

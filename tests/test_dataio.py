@@ -63,6 +63,19 @@ def test_read_table_errors_name_row_and_column(tmp_path):
         read_table(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize(
+    "data, match",
+    [(b"a,b\n1,2\n\xff,3\n", "codec can't decode"), (b"a,b\n1," + b"9" * 140_000 + b"\n", "field limit")],
+    ids=["not-utf-8", "oversized-field"],
+)
+def test_unreadable_csv_is_a_data_error_naming_the_path(tmp_path, data, match):
+    p = tmp_path / "t.csv"
+    p.write_bytes(data)
+    with pytest.raises(DataError, match=match) as err:
+        read_table(p)
+    assert str(p) in str(err.value)
+
+
 def test_regression_label_parsing():
     assert np.allclose(parse_regression_labels(["1.5", "-2"], "f"), [1.5, -2.0])
     with pytest.raises(DataError, match="row 2"):

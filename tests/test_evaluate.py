@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.optimize import brentq
+from scipy.special import logsumexp, ndtr, ndtri
 
 from wgboost.evaluate import (
+    _logsumexp,
     NormalRef,
     Standardization,
     classification_accuracy,
@@ -90,6 +92,64 @@ def test_interval_mixture_mass():
 def test_interval_rejects_bad_level():
     with pytest.raises(ValueError):
         predictive_interval_normal(np.zeros((1, 1, 2)), level=1.0)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        a = np.round(rng.normal(size=(4, rng.integers(1, 9))) * rng.choice([1.0, 30.0, 800.0]),
+                     rng.integers(0, 2))  # rounding makes ties, among them tied maxima
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        a[0] = -np.inf
+        if trial % 3 == 0:
+            a[1, 0] = np.inf
+        want = logsumexp(a, axis=-1)
+        assert np.array_equal(_logsumexp(a), want, equal_nan=True)
+        assert _logsumexp(a)[0] == -np.inf
+    ties = np.array([[2.0, 2.0, 2.0], [-1.0, 5.0, 5.0]])
+    assert np.array_equal(_logsumexp(ties), logsumexp(ties, axis=-1))
+
+
+def test_all_minus_inf_components_give_infinite_nll_not_nan():
+    particles = np.array([[[0.0, -400.0]], [[0.0, 0.0]]])  # the first density underflows to 0
+    with np.errstate(over="ignore"):
+        assert predictive_nll_normal(particles[:1], np.array([1.0])) == np.inf
+        assert predictive_nll_normal(particles, np.array([1.0, 1.0])) == np.inf
+
+
+def brentq_interval(particles, level):
+    """Oracle: one pair of brentq root searches per row, on scipy's ndtr."""
+    alpha = 0.5 * (1.0 - level)
+    bounds = []
+    for row in particles:
+        m, sd = row[:, 0], np.exp(row[:, 1])
+        a, b = np.min(m - 9.0 * sd), np.max(m + 9.0 * sd)
+        cdf = lambda z, p: np.mean(ndtr((z - m) / sd)) - p
+        bounds.append([brentq(cdf, a, b, args=(p,), xtol=1e-14, rtol=1e-15) for p in (alpha, 1 - alpha)])
+    return np.array(bounds).T
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95])
+def test_vectorized_interval_matches_a_per_row_brentq_oracle(n, level):
+    rng = np.random.default_rng(n)
+    # overlapping components (no flat stretch of the CDF at a quantile), moved and
+    # scaled per row so that every row has its own bracket
+    shape = rng.normal(size=(60, n, 2)) * [1.0, 0.3]
+    shift = rng.uniform(-50, 50, size=(60, 1))
+    scale = np.exp(rng.uniform(-4, 4, size=(60, 1)))
+    particles = np.stack([shift + scale * shape[..., 0], np.log(scale) + shape[..., 1]], axis=-1)
+    lo, hi = predictive_interval_normal(particles, level=level)
+    want_lo, want_hi = brentq_interval(particles, level)
+    tol = 1e-9 * scale[:, 0]
+    assert np.all(np.abs(lo - want_lo) <= tol)
+    assert np.all(np.abs(hi - want_hi) <= tol)
+    assert np.all(lo < hi)
+
+
+def test_interval_of_no_rows_is_two_empty_arrays():
+    lo, hi = predictive_interval_normal(np.zeros((0, 5, 2)), level=0.9)
+    assert lo.shape == hi.shape == (0,)
 
 
 def test_standardization_round_trip_and_floor():
