@@ -25,7 +25,6 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -292,7 +291,6 @@ def fit(
     init: np.ndarray | None = None,
     standardization: Standardization | None = None,
     label_values: list | None = None,
-    threads: int = 1,
     on_iteration: Callable[[list[RegressionTree]], None] | None = None,
 ) -> WGBoostModel:
     """Fit the full model: initializer plus max_iterations boosting rounds.
@@ -301,7 +299,8 @@ def fit(
     ``standardization`` and ``label_values`` are carried into the model for
     prediction-time convenience; they do not affect fitting.
     ``on_iteration``, if given, is called after every boosting round with the
-    N trees fitted in it.
+    N trees fitted in it.  A round fits its N trees one after another; a
+    thread pool around them made fits slower when measured (see the README).
     """
     X = _check_training_data(X, targets)
     rng_draw, rng_noise, rng_rows, _ = _streams(cfg.seed)
@@ -324,38 +323,30 @@ def fit(
     # their presort: the trees of the fit share both.
     X_cols = np.asfortranarray(X)
     order = presort(X) if n_sub == n_data else None
-    pool = ThreadPoolExecutor(max_workers=min(threads, n)) if threads > 1 else None
-    try:
-        for m in range(cfg.max_iterations):
-            if n_sub < n_data:
-                rows = np.sort(rng_rows.choice(n_data, size=n_sub, replace=False))
-                X_it, t_it, theta = np.asfortranarray(X[rows]), targets.take(rows), F[rows]
-                order_it = presort(X_it)
-            else:
-                X_it, t_it, theta, order_it = X_cols, targets, F, order
-            try:
-                g = compute_direction(
-                    cfg.direction, theta, t_it, cfg.kernel, rate=cfg.learning_rate, rng=rng_noise
-                )
-            except NumericError as err:
-                raise NumericError(f"iteration {m}: {err}") from err
-            if not np.all(np.isfinite(g)):
-                bad = int(np.nonzero(~np.isfinite(g).all(axis=(1, 2)))[0][0])
-                raise NumericError(f"iteration {m}: non-finite direction for datum {bad}")
-            if pool is not None:
-                trees = list(pool.map(lambda i: fit_tree(X_it, g[:, i, :], cfg.tree, order_it),
-                                      range(n)))
-            else:
-                trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
-            _add_round(F, trees, X, cfg.learning_rate)
-            for i, tree in enumerate(trees):
-                ensembles[i].append(tree)
-            trace.append(float(np.mean(g * g)))
-            if on_iteration is not None:
-                on_iteration(trees)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for m in range(cfg.max_iterations):
+        if n_sub < n_data:
+            rows = np.sort(rng_rows.choice(n_data, size=n_sub, replace=False))
+            X_it, t_it, theta = np.asfortranarray(X[rows]), targets.take(rows), F[rows]
+            order_it = presort(X_it)
+        else:
+            rows, X_it, t_it, theta, order_it = None, X_cols, targets, F, order
+        try:
+            g = compute_direction(
+                cfg.direction, theta, t_it, cfg.kernel, rate=cfg.learning_rate, rng=rng_noise
+            )
+        except NumericError as err:
+            raise NumericError(f"boosting iteration {m}: {err}") from err
+        if not np.all(np.isfinite(g)):
+            bad = int(np.nonzero(~np.isfinite(g).all(axis=(1, 2)))[0][0])
+            datum = bad if rows is None else int(rows[bad])
+            raise NumericError(f"boosting iteration {m}: non-finite direction for datum {datum}")
+        trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
+        _add_round(F, trees, X, cfg.learning_rate)
+        for i, tree in enumerate(trees):
+            ensembles[i].append(tree)
+        trace.append(float(np.mean(g * g)))
+        if on_iteration is not None:
+            on_iteration(trees)
     return WGBoostModel(
         config=cfg,
         target_family=targets.family,
@@ -377,7 +368,6 @@ def fit_with_early_stopping(
     *,
     standardization: Standardization | None = None,
     label_values: list | None = None,
-    threads: int = 1,
 ) -> tuple[WGBoostModel, list[float]]:
     """Pick the iteration count on a held-out split, then refit from scratch.
 
@@ -404,7 +394,7 @@ def fit_with_early_stopping(
         metric = lambda F: predictive_nll_normal(F, t_val.y, Standardization())
     else:
         metric = lambda F: predictive_nll_categorical(F, t_val.y, t_val.k)
-    search = fit(X[fit_idx], targets.take(fit_idx), cfg, threads=threads)
+    search = fit(X[fit_idx], targets.take(fit_idx), cfg)
     curve = [metric(F) for F in search.staged_predict(X[val_idx])]
     del search  # its trees need not outlive the curve into the refit
     best = int(np.argmin(curve))
@@ -414,7 +404,6 @@ def fit_with_early_stopping(
         replace(cfg, max_iterations=best),
         standardization=standardization,
         label_values=label_values,
-        threads=threads,
     )
     return final, curve
 

@@ -34,6 +34,7 @@ from .boosting import (
 from .directions import DirectionKind
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
+    Standardization,
     classification_accuracy,
     ood_score,
     point_predictions,
@@ -108,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
         tr.add_argument(flag, type=s.type, choices=choices, dest=s.key)
     tr.add_argument("--early-stopping", action=argparse.BooleanOptionalAction, default=None)
     tr.add_argument("--val-fraction", type=float)
-    tr.add_argument("--threads", type=int, help="worker threads for tree fitting (default 1: a "
-                    "pool made small-tree fits slower and erratic when measured on two cores)")
+    tr.add_argument("--threads", type=int, help="must be 1 (trees are fitted on one thread); kept "
+                    "so that scripts which pin one thread still run")
     tr.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("evaluate", help="score a model on a labeled CSV")
@@ -226,8 +227,8 @@ def _cmd_train(args) -> None:
     early = _setting(args, doc, "early_stopping", False)
     val_fraction = _setting(args, doc, "val_fraction", 0.2)
     threads = _setting(args, doc, "threads", 1)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if threads != 1:
+        raise ConfigError(f"threads must be 1: trees are fitted on one thread, got {threads}")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     out_model = _setting(args, doc, "out_model", "model.json")
@@ -244,9 +245,9 @@ def _cmd_train(args) -> None:
         targets = make_classification_targets(labels)
         carried = {"label_values": values}
     if early:
-        model, curve = fit_with_early_stopping(X, targets, cfg, val_fraction, threads=threads, **carried)
+        model, curve = fit_with_early_stopping(X, targets, cfg, val_fraction, **carried)
     else:
-        model = fit(X, targets, cfg, threads=threads, **carried)
+        model = fit(X, targets, cfg, **carried)
 
     save_model(model, out_model)
     if out_log is not None:
@@ -279,6 +280,11 @@ def _load_model_and_rows(args):
     return model, X, raw_labels
 
 
+def _standardization(model) -> Standardization:
+    """The model's response map; a model saved without one (null y_mean) uses the identity."""
+    return model.standardization or Standardization()
+
+
 def _class_rows(preds, k: int, values: list) -> tuple[list[str], list[dict]]:
     """Per-row predicted label, class probabilities and OOD score, with their header."""
     probs = predictive_class_probs(preds, k)
@@ -305,7 +311,7 @@ def _cmd_evaluate(args) -> None:
     per_header: list[str] = []
     if model.target_family == "normal":
         y = dataio.parse_regression_labels(raw_labels, args.data)
-        std = model.standardization
+        std = _standardization(model)
         row["NLL"] = predictive_nll_normal(preds, y, std)
         row["RMSE"] = point_predict_rmse(preds, y, std)
         points = point_predictions(preds, std)
@@ -341,7 +347,7 @@ def _cmd_predict(args) -> None:
         rows = preds.reshape(len(preds), n * d)
         if model.target_family == "normal":
             header.insert(0, "prediction")
-            rows = np.column_stack([point_predictions(preds, model.standardization), rows])
+            rows = np.column_stack([point_predictions(preds, _standardization(model)), rows])
     dataio.write_csv(args.out, header, rows, model.config.seed)
     print(f"wrote {len(rows)} prediction rows to {args.out}")
 

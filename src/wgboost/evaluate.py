@@ -57,7 +57,8 @@ def _mixture_logpdf(particles: np.ndarray, z: np.ndarray) -> np.ndarray:
     m = particles[..., 0]
     s = particles[..., 1]
     resid = (z[..., None] - m) * np.exp(-s)
-    comp = -0.5 * _LOG_2PI - s - 0.5 * resid**2
+    with np.errstate(over="ignore"):  # a residual too large to square has density 0: comp -inf
+        comp = -0.5 * _LOG_2PI - s - 0.5 * resid**2
     return _logsumexp(comp) - np.log(particles.shape[-2])
 
 

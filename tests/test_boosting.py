@@ -107,13 +107,6 @@ def test_load_rejects_unknown_format(tmp_path):
         load_model(path)
 
 
-def test_threads_do_not_change_results():
-    X, _, targets, _ = small_regression()
-    a = fit(X, targets, quick_cfg())
-    b = fit(X, targets, quick_cfg(), threads=4)
-    assert np.array_equal(a.predict(X), b.predict(X))
-
-
 def test_subsampling_moves_every_row():
     X, _, targets, _ = small_regression()
     cfg = quick_cfg(subsample_fraction=0.5, max_iterations=4)
@@ -528,6 +521,51 @@ def test_initializer_numeric_error_names_the_step(monkeypatch):
     X, _, targets, _ = small_regression()
     with pytest.raises(NumericError, match="^initializer step 2: smoothed Hessian is singular"):
         fit(X, targets, quick_cfg())
+
+
+class NanScoreTarget:
+    """Targets whose score is nan at row ``bad``; ``take`` records where that row lands."""
+
+    def __init__(self, inner, bad):
+        self.inner, self.bad, self.positions = inner, bad, []
+        self.family, self.dim, self.n_data = inner.family, inner.dim, inner.n_data
+
+    def take(self, idx):
+        hit = np.nonzero(idx == self.bad)[0]
+        self.positions.append(int(hit[0]) if hit.size else None)
+        return NanScoreTarget(self.inner.take(idx), self.positions[-1])
+
+    def log_grad(self, theta):
+        g = self.inner.log_grad(theta)
+        if self.bad is not None:
+            g[self.bad] = np.nan
+        return g
+
+    def log_hess_diag(self, theta):
+        return self.inner.log_hess_diag(theta)
+
+
+def test_non_finite_direction_names_the_iteration_and_the_training_row():
+    X, _, targets, _ = small_regression()
+    target = NanScoreTarget(targets, bad=30)
+    cfg = quick_cfg(subsample_fraction=0.5)
+    with pytest.raises(NumericError) as err:
+        fit(X, target, cfg, init=np.zeros((cfg.n_particles, 2)))  # init= skips the initializer
+    iteration = len(target.positions) - 1  # the first subsample that holds row 30 fails
+    assert str(err.value) == f"boosting iteration {iteration}: non-finite direction for datum 30"
+    assert target.positions[-1] != 30  # its position inside that subsample
+
+
+def test_estimator_numeric_error_names_the_boosting_iteration(monkeypatch):
+    import wgboost.boosting as boosting
+
+    def fail(*args, **kwargs):
+        raise NumericError("smoothed Hessian is singular for datum 0")
+
+    monkeypatch.setattr(boosting, "compute_direction", fail)
+    X, _, targets, _ = small_regression()
+    with pytest.raises(NumericError, match="^boosting iteration 0: smoothed Hessian is singular"):
+        fit(X, targets, quick_cfg(), init=np.zeros((3, 2)))
 
 
 def _leaves(tree, X):

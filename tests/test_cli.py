@@ -292,7 +292,7 @@ def test_negative_seed_is_a_config_error(tmp_path, reg_csv, capsys, monkeypatch,
 
 @pytest.mark.parametrize(
     "key, value",
-    [("threads", 0), ("threads", -3), ("val_fraction", 0.0), ("val_fraction", 1.0),
+    [("threads", 0), ("threads", -3), ("threads", 2), ("val_fraction", 0.0), ("val_fraction", 1.0),
      ("val_fraction", -0.2), ("val_fraction", 1.5)],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -312,6 +312,39 @@ def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, cap
     assert run("train", "--config", cfg, "--out-model", model, *argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must")
     assert not model.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_threads_1_still_trains(tmp_path, reg_csv, source):
+    doc = {"task": "regression", "data": str(reg_csv), "label_column": "y",
+           "boost": {"max_iterations": 2, "init_steps": 10}}
+    argv = ["--threads", 1] if source == "flag" else []
+    if source == "config":
+        doc["threads"] = 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    model = tmp_path / "m.json"
+    assert run("train", "--config", cfg, "--out-model", model, *argv) == 0
+    assert json.loads(model.read_text())["config"]["max_iterations"] == 2
+
+
+def test_model_without_standardization_predicts_and_evaluates_in_identity_units(tmp_path, reg_csv):
+    original = Path(__file__).with_name("model_v1.json")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({**json.loads(original.read_text()), "y_mean": None, "y_std": None}))
+    outs = {}
+    for name, model in (("original", original), ("bare", bare)):
+        outs[name] = tmp_path / f"{name}.csv"
+        assert run("predict", "--model", model, "--data", reg_csv, "--label-column", "y",
+                   "--out", outs[name]) == 0
+    assert run("evaluate", "--model", bare, "--data", reg_csv, "--label-column", "y",
+               "--out", tmp_path / "metrics.csv") == 0
+    header, bare_rows = read_rows(outs["bare"])
+    _, original_rows = read_rows(outs["original"])
+    assert header[0] == "prediction"
+    bare_rows = np.array(bare_rows, dtype=float)
+    assert np.array_equal(bare_rows[:, 1:], np.array(original_rows, dtype=float)[:, 1:])
+    assert np.allclose(bare_rows[:, 0], bare_rows[:, 1::2].mean(axis=1), rtol=0, atol=1e-12)
 
 
 def test_malformed_model_is_exit_3_naming_the_key(tmp_path, reg_csv, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -115,6 +117,16 @@ def test_all_minus_inf_components_give_infinite_nll_not_nan():
     with np.errstate(over="ignore"):
         assert predictive_nll_normal(particles[:1], np.array([1.0])) == np.inf
         assert predictive_nll_normal(particles, np.array([1.0, 1.0])) == np.inf
+
+
+def test_overflowing_residual_gives_infinite_nll_without_a_warning():
+    # the residual 1.0 * e^400 squares past the float range: that component's density is 0
+    particles = np.array([[[0.0, -400.0], [0.0, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predictive_nll_normal(particles[:, :1], np.array([1.0])) == np.inf
+        mixed = predictive_nll_normal(particles, np.array([1.0]))
+    assert mixed == -((-0.5 * float(np.log(2.0 * np.pi)) - 0.5) - np.log(2.0))
 
 
 def brentq_interval(particles, level):

@@ -338,10 +338,9 @@ def test_order_must_have_the_presort_shape():
         fit_tree(X, Y, order=presort(X[:9]))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("subsample", [1.0, 0.6])
 @pytest.mark.parametrize("task", ["regression", "classification"])
-def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task, subsample, threads):
+def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task, subsample):
     rng = np.random.default_rng(11)
     X = np.round(rng.normal(size=(70, 3)), 1)
     if task == "regression":
@@ -355,5 +354,5 @@ def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task, su
     for fitter in (fit_tree, reference_fit_tree):
         monkeypatch.setattr(wgboost.boosting, "fit_tree", fitter)
         paths.append(tmp_path / f"{fitter.__name__}.json")
-        save_model(fit(X, targets, cfg, threads=threads), paths[-1])
+        save_model(fit(X, targets, cfg), paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
