@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataio import FORMAT_VERSION, atomic_file
 from .directions import DirectionKind, compute_direction
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import STD_FLOOR, Standardization, predictive_nll_categorical, predictive_nll_normal
@@ -37,8 +38,6 @@ from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
 from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, presort, route,
                    trees_from_dicts)
-
-FORMAT_VERSION = 1
 
 #: Most (row, tree) pairs one ``route`` call of staged prediction holds; bounds
 #: the memory of a block of rounds while keeping the per-call overhead small.
@@ -230,6 +229,12 @@ def _add_round(F: np.ndarray, trees: list[RegressionTree], X: np.ndarray, lr: fl
     F += lr * route(packed, X, packed.roots)
 
 
+def _first_non_finite_row(a: np.ndarray) -> int | None:
+    """The first row of ``a`` (D, N, d) that holds a non-finite value, if any."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     """Independent generators for init draw, Langevin noise, subsampling, split."""
     children = np.random.SeedSequence(seed).spawn(4)
@@ -299,8 +304,7 @@ def fit(
     ``standardization`` and ``label_values`` are carried into the model for
     prediction-time convenience; they do not affect fitting.
     ``on_iteration``, if given, is called after every boosting round with the
-    N trees fitted in it.  A round fits its N trees one after another; a
-    thread pool around them made fits slower when measured (see the README).
+    N trees fitted in it.
     """
     X = _check_training_data(X, targets)
     rng_draw, rng_noise, rng_rows, _ = _streams(cfg.seed)
@@ -335,13 +339,20 @@ def fit(
                 cfg.direction, theta, t_it, cfg.kernel, rate=cfg.learning_rate, rng=rng_noise
             )
         except NumericError as err:
-            raise NumericError(f"boosting iteration {m}: {err}") from err
-        if not np.all(np.isfinite(g)):
-            bad = int(np.nonzero(~np.isfinite(g).all(axis=(1, 2)))[0][0])
+            detail = str(err)
+            if err.datum is not None and rows is not None:  # name the training row
+                detail = detail.replace(f"datum {err.datum}", f"datum {rows[err.datum]}", 1)
+            raise NumericError(f"boosting iteration {m}: {detail}") from err
+        bad = _first_non_finite_row(g)
+        if bad is not None:
             datum = bad if rows is None else int(rows[bad])
             raise NumericError(f"boosting iteration {m}: non-finite direction for datum {datum}")
         trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
-        _add_round(F, trees, X, cfg.learning_rate)
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
+            _add_round(F, trees, X, cfg.learning_rate)
+        bad = _first_non_finite_row(F)
+        if bad is not None:
+            raise NumericError(f"boosting iteration {m}: non-finite particles for datum {bad}")
         for i, tree in enumerate(trees):
             ensembles[i].append(tree)
         trace.append(float(np.mean(g * g)))
@@ -462,17 +473,9 @@ def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
         "init_particles": model.init_particles.tolist(),
         "ensembles": [[tree.to_dict() for tree in trees] for trees in model.ensembles],
     }
-    path = os.fspath(path)
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_file(path) as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def load_model(path: str | os.PathLike) -> WGBoostModel:

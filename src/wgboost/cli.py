@@ -69,11 +69,11 @@ _RUN_KEYS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 2
     try:
+        args = parser.parse_args(argv)  # a flag's type may raise ConfigError
+        if not hasattr(args, "func"):
+            parser.print_help()
+            return 2
         args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -128,29 +128,27 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_predict)
 
-    be = sub.add_parser("bench-directions", help="compare direction estimators on the sin benchmark")
+    # The synthetic commands give their flags no default: only the flags given
+    # reach the driver, whose parameter defaults are the one place they live.
+    be = sub.add_parser("bench-directions", argument_default=argparse.SUPPRESS,
+                        help="compare direction estimators on the sin benchmark")
     be.add_argument("--out", required=True)
-    be.add_argument("--iterations", type=int, default=100)
-    be.add_argument("--checkpoints", default="0,10,25,50,100", help="comma-separated iteration counts")
-    be.add_argument("--train-points", type=int, default=200)
-    be.add_argument("--eval-points", type=int, default=500)
-    be.add_argument("--n-particles", type=int, default=10)
-    be.add_argument("--max-depth", type=int, default=3)
-    be.add_argument("--learning-rate", type=float, default=0.1)
-    be.add_argument("--kernel-scale", type=float, default=0.1)
-    be.add_argument("--mmd-scale", type=float, default=0.025)
+    be.add_argument("--iterations", type=int)
+    be.add_argument("--checkpoints", type=_checkpoint_list, help="comma-separated iteration counts")
+    be.add_argument("--train-points", type=int, dest="n_train")
+    be.add_argument("--eval-points", type=int, dest="n_eval")
+    be.add_argument("--n-particles", type=int)
     be.add_argument("--seed", type=int)
-    be.set_defaults(func=_cmd_bench)
+    be.set_defaults(func=_cmd_synthetic, driver=synthetic.run_direction_bench, noun="benchmark")
 
-    ts = sub.add_parser("toy-sin", help="small sin-curve run with plot-ready output")
+    ts = sub.add_parser("toy-sin", argument_default=argparse.SUPPRESS,
+                        help="small sin-curve run with plot-ready output")
     ts.add_argument("--out", required=True)
-    ts.add_argument("--learners", type=int, default=100)
-    ts.add_argument("--grid-points", type=int, default=10)
-    ts.add_argument("--n-particles", type=int, default=10)
-    ts.add_argument("--max-depth", type=int, default=1)
-    ts.add_argument("--learning-rate", type=float, default=0.1)
+    ts.add_argument("--learners", type=int)
+    ts.add_argument("--grid-points", type=int)
+    ts.add_argument("--n-particles", type=int)
     ts.add_argument("--seed", type=int)
-    ts.set_defaults(func=_cmd_toy_sin)
+    ts.set_defaults(func=_cmd_synthetic, driver=synthetic.run_toy_sin, noun="grid")
 
     return parser
 
@@ -225,11 +223,11 @@ def _cmd_train(args) -> None:
         feature_columns = [c.strip() for c in feature_columns.split(",") if c.strip()]
     seed = _seed(args, doc)
     early = _setting(args, doc, "early_stopping", False)
-    val_fraction = _setting(args, doc, "val_fraction", 0.2)
+    val_fraction = _setting(args, doc, "val_fraction")  # None: fit_with_early_stopping's default
     threads = _setting(args, doc, "threads", 1)
     if threads != 1:
         raise ConfigError(f"threads must be 1: trees are fitted on one thread, got {threads}")
-    if not 0.0 < val_fraction < 1.0:
+    if val_fraction is not None and not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     out_model = _setting(args, doc, "out_model", "model.json")
     out_log = _setting(args, doc, "out_log")
@@ -245,7 +243,8 @@ def _cmd_train(args) -> None:
         targets = make_classification_targets(labels)
         carried = {"label_values": values}
     if early:
-        model, curve = fit_with_early_stopping(X, targets, cfg, val_fraction, **carried)
+        split = {} if val_fraction is None else {"val_fraction": val_fraction}
+        model, curve = fit_with_early_stopping(X, targets, cfg, **split, **carried)
     else:
         model = fit(X, targets, cfg, **carried)
 
@@ -352,47 +351,27 @@ def _cmd_predict(args) -> None:
     print(f"wrote {len(rows)} prediction rows to {args.out}")
 
 
-def _cmd_bench(args) -> None:
+def _checkpoint_list(text: str) -> tuple[int, ...]:
     try:
-        checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
+        return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad checkpoint list {args.checkpoints!r}") from None
-    seed = _seed(args, {})
-    try:
-        rows = synthetic.run_direction_bench(
-            iterations=args.iterations,
-            checkpoints=checkpoints,
-            n_train=args.train_points,
-            n_eval=args.eval_points,
-            n_particles=args.n_particles,
-            max_depth=args.max_depth,
-            learning_rate=args.learning_rate,
-            kernel_scale=args.kernel_scale,
-            mmd_scale=args.mmd_scale,
-            seed=seed,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    dataio.write_csv(args.out, ["direction", "weak_learners", "mean_mmd", "wall_clock_s"], rows, seed)
-    print(f"wrote {len(rows)} benchmark rows to {args.out}")
+        raise ConfigError(f"bad checkpoint list {text!r}") from None
 
 
-def _cmd_toy_sin(args) -> None:
+#: Namespace entries of a synthetic command that are not driver parameters.
+_RUNNER_KEYS = ("command", "func", "driver", "noun", "out", "seed")
+
+
+def _cmd_synthetic(args) -> None:
+    """Run ``args.driver`` on the flags given and write its rows to ``args.out``."""
     seed = _seed(args, {})
+    given = {k: v for k, v in vars(args).items() if k not in _RUNNER_KEYS}
     try:
-        rows = synthetic.run_toy_sin(
-            learners=args.learners,
-            grid_points=args.grid_points,
-            n_particles=args.n_particles,
-            max_depth=args.max_depth,
-            learning_rate=args.learning_rate,
-            seed=seed,
-        )
+        rows = args.driver(**given, seed=seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    header = list(rows[0].keys())
-    dataio.write_csv(args.out, header, rows, seed)
-    print(f"wrote {len(rows)} grid rows to {args.out}")
+    dataio.write_csv(args.out, list(rows[0]), rows, seed)
+    print(f"wrote {len(rows)} {args.noun} rows to {args.out}")
 
 
 if __name__ == "__main__":

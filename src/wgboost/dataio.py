@@ -8,13 +8,16 @@ All writes go to a temp file first and are renamed into place.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 
 import numpy as np
 
-from .boosting import FORMAT_VERSION
 from .errors import DataError
+
+#: The version written into every model file and CSV trailer.
+FORMAT_VERSION = 1
 
 
 def read_table(
@@ -123,24 +126,32 @@ def apply_class_labels(labels: list[str], values: list[str], path: str) -> np.nd
     return out
 
 
-def write_csv(path: str | os.PathLike, header: list[str], rows, seed: int) -> None:
-    """Write rows (sequences or dicts matching the header) plus the metadata trailer."""
+@contextlib.contextmanager
+def atomic_file(path: str | os.PathLike):
+    """A text file to write ``path`` through: a temp file next to it, renamed
+    into place when the block ends, and removed instead if the block fails."""
     path = os.fspath(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                if isinstance(row, dict):
-                    row = [row.get(h, "") for h in header]
-                writer.writerow([_format_cell(v) for v in row])
-            fh.write(f"# seed={seed} format_version={FORMAT_VERSION}\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str | os.PathLike, header: list[str], rows, seed: int) -> None:
+    """Write rows (sequences or dicts matching the header) plus the metadata trailer."""
+    with atomic_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            if isinstance(row, dict):
+                row = [row.get(h, "") for h in header]
+            writer.writerow([_format_cell(v) for v in row])
+        fh.write(f"# seed={seed} format_version={FORMAT_VERSION}\n")
 
 
 def _format_cell(v) -> str:

@@ -195,7 +195,7 @@ def _solve_with_ridge(H: np.ndarray, g: np.ndarray) -> np.ndarray:
             w = np.full_like(flat_g[i], np.nan)
         if not np.all(np.isfinite(w)):
             raise NumericError(
-                f"smoothed Hessian is singular for datum {i} even after ridge {ridge:g}"
+                f"smoothed Hessian is singular for datum {i} even after ridge {ridge:g}", datum=i
             )
         out[i] = w
     return out.reshape(g.shape)

@@ -18,4 +18,12 @@ class DataError(WGBoostError):
 
 
 class NumericError(WGBoostError):
-    """A numeric operation failed (overflow, singular solve, non-finite drift)."""
+    """A numeric operation failed (overflow, singular solve, non-finite drift).
+
+    ``datum``, when given, is the position of the failing datum in the batch
+    the raising function was handed; the message names it as "datum <datum>".
+    """
+
+    def __init__(self, message: str, datum: int | None = None) -> None:
+        super().__init__(message)
+        self.datum = datum

@@ -15,11 +15,13 @@ from . import boosting
 from .boosting import BoostConfig
 from .directions import DirectionKind
 from .evaluate import NormalRef, mmd_squared
-from .kernel import KernelConfig
 from .targets import GaussianTarget
 from .tree import TreeParams
 
 SIN_NOISE_VAR = 0.5
+
+#: The toy's weak learners are stumps; every other setting is the library default.
+TOY_MAX_DEPTH = 1
 
 
 def sin_grid(n: int, low: float = -3.5, high: float = 3.5) -> np.ndarray:
@@ -31,11 +33,14 @@ def sin_targets(X: np.ndarray) -> GaussianTarget:
     return GaussianTarget(np.sin(X[:, 0]), SIN_NOISE_VAR)
 
 
-def mean_sin_mmd(preds: np.ndarray, X_eval: np.ndarray, mmd_scale: float) -> float:
-    """Mean over eval inputs of MMD(particles at x, N(sin x, 0.5)); preds is (T, N, 1)."""
+def mean_sin_mmd(preds: np.ndarray, X_eval: np.ndarray) -> float:
+    """Mean over eval inputs of MMD(particles at x, N(sin x, 0.5)); preds is (T, N, 1).
+
+    The MMD takes :func:`mmd_squared`'s default bandwidth.
+    """
     sd = float(np.sqrt(SIN_NOISE_VAR))
     vals = [
-        np.sqrt(max(mmd_squared(preds[i], NormalRef(float(np.sin(x)), sd), mmd_scale), 0.0))
+        np.sqrt(max(mmd_squared(preds[i], NormalRef(float(np.sin(x)), sd)), 0.0))
         for i, x in enumerate(X_eval[:, 0])
     ]
     return float(np.mean(vals))
@@ -47,16 +52,13 @@ def run_direction_bench(
     n_train: int = 200,
     n_eval: int = 500,
     n_particles: int = 10,
-    max_depth: int = 3,
-    learning_rate: float = 0.1,
-    kernel_scale: float = 0.1,
-    mmd_scale: float = 0.025,
     seed: int = 0,
 ) -> list[dict]:
     """Fit one model per direction kind and report MMD/time at checkpoints.
 
     All kinds share the training grid and start from the same particle set:
-    10 constants spread over [-10, 10].  Wall-clock covers training only
+    n_particles constants spread over [-10, 10].  The other boosting settings
+    are the :class:`BoostConfig` defaults.  Wall-clock covers training only
     (per-iteration timestamps; the MMD evaluation happens afterwards).
     Returns one dict per (kind, checkpoint) with keys direction,
     weak_learners, mean_mmd, wall_clock_s.
@@ -72,13 +74,7 @@ def run_direction_bench(
     rows = []
     for kind in DirectionKind:
         cfg = BoostConfig(
-            n_particles=n_particles,
-            max_iterations=iterations,
-            learning_rate=learning_rate,
-            direction=kind,
-            kernel=KernelConfig(kernel_scale),
-            tree=TreeParams(max_depth=max_depth),
-            seed=seed,
+            n_particles=n_particles, max_iterations=iterations, direction=kind, seed=seed
         )
         stamps = [time.perf_counter()]
         model = boosting.fit(
@@ -90,7 +86,7 @@ def run_direction_bench(
                     {
                         "direction": kind.value,
                         "weak_learners": m,
-                        "mean_mmd": mean_sin_mmd(preds, X_eval, mmd_scale),
+                        "mean_mmd": mean_sin_mmd(preds, X_eval),
                         "wall_clock_s": stamps[m] - stamps[0],
                     }
                 )
@@ -101,11 +97,11 @@ def run_toy_sin(
     learners: int = 100,
     grid_points: int = 10,
     n_particles: int = 10,
-    max_depth: int = 1,
-    learning_rate: float = 0.1,
     seed: int = 0,
 ) -> list[dict]:
     """Small plot-ready run: particle values per grid input plus the true band.
+
+    The weak learners are stumps (:data:`TOY_MAX_DEPTH`).
 
     band_lo/band_hi bound the central 95% of the true output distribution,
     sin(x) +- 1.96 sqrt(0.5).
@@ -115,8 +111,7 @@ def run_toy_sin(
     cfg = BoostConfig(
         n_particles=n_particles,
         max_iterations=learners,
-        learning_rate=learning_rate,
-        tree=TreeParams(max_depth=max_depth),
+        tree=TreeParams(max_depth=TOY_MAX_DEPTH),
         seed=seed,
     )
     model = boosting.fit(X, targets, cfg)

@@ -105,7 +105,11 @@ class NormalLocationScaleTarget:
     def _parts(self, theta: np.ndarray):
         theta = _check_theta(theta, 2)
         m, s = theta[..., 0], theta[..., 1]
-        inv_sigma = np.exp(-s)
+        # A log scale below about -709 overflows exp to inf.  No warning is
+        # needed: the direction built from it is non-finite, which boosting
+        # reports as a NumericError naming the iteration and the datum.
+        with np.errstate(over="ignore"):
+            inv_sigma = np.exp(-s)
         r = (self._ycol - m) * inv_sigma  # standardized residual
         return m, s, inv_sigma, r
 

@@ -59,6 +59,19 @@ def test_zero_iterations_returns_initializer():
     assert np.array_equal(preds, np.broadcast_to(model.init_particles, preds.shape))
 
 
+def test_failed_save_keeps_the_old_model_and_leaves_no_temp(tmp_path):
+    X, _, targets, std = small_regression()
+    model = fit(X, targets, quick_cfg(max_iterations=1), standardization=std)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    saved = path.read_bytes()
+    model.label_values = [object()]  # not JSON: the dump fails part way
+    with pytest.raises(TypeError):
+        save_model(model, path)
+    assert path.read_bytes() == saved
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_staged_prediction_matches_shorter_fit():
     """Truncating the ensembles reproduces a fit stopped at that iteration."""
     X, _, targets, _ = small_regression()
@@ -533,7 +546,7 @@ class NanScoreTarget:
     def take(self, idx):
         hit = np.nonzero(idx == self.bad)[0]
         self.positions.append(int(hit[0]) if hit.size else None)
-        return NanScoreTarget(self.inner.take(idx), self.positions[-1])
+        return type(self)(self.inner.take(idx), self.positions[-1])
 
     def log_grad(self, theta):
         g = self.inner.log_grad(theta)
@@ -553,6 +566,34 @@ def test_non_finite_direction_names_the_iteration_and_the_training_row():
         fit(X, target, cfg, init=np.zeros((cfg.n_particles, 2)))  # init= skips the initializer
     iteration = len(target.positions) - 1  # the first subsample that holds row 30 fails
     assert str(err.value) == f"boosting iteration {iteration}: non-finite direction for datum 30"
+    assert target.positions[-1] != 30  # its position inside that subsample
+
+
+class ZeroCurvatureTarget(NanScoreTarget):
+    """Targets whose full curvature is zero at row ``bad``: with one particle, full
+    Newton's smoothed Hessian there is zero, singular even after its ridge."""
+
+    def log_grad(self, theta):
+        return self.inner.log_grad(theta)
+
+    def log_hess_full(self, theta):
+        h = self.inner.log_hess_full(theta)
+        if self.bad is not None:
+            h[self.bad] = 0.0
+        return h
+
+
+def test_singular_hessian_under_subsampling_names_the_training_row():
+    X, _, targets, _ = small_regression()
+    target = ZeroCurvatureTarget(targets, bad=30)
+    cfg = quick_cfg(n_particles=1, direction="full-newton", subsample_fraction=0.5)
+    with pytest.raises(NumericError) as err:
+        fit(X, target, cfg, init=np.zeros((1, 2)))  # init= skips the initializer
+    iteration = len(target.positions) - 1  # the first subsample that holds row 30 fails
+    assert str(err.value) == (
+        f"boosting iteration {iteration}: smoothed Hessian is singular for datum 30 even after "
+        "ridge 0"
+    )
     assert target.positions[-1] != 30  # its position inside that subsample
 
 

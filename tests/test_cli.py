@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,56 @@ def test_bench_and_toy_sin(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, passed",
+    [
+        (["bench-directions", "--iterations", 3], {"iterations": 3, "seed": 0}),
+        (["bench-directions", "--checkpoints", "0,2", "--train-points", 30, "--eval-points", 20,
+          "--n-particles", 3, "--seed", 4],
+         {"checkpoints": (0, 2), "n_train": 30, "n_eval": 20, "n_particles": 3, "seed": 4}),
+        (["toy-sin"], {"seed": 0}),
+        (["toy-sin", "--learners", 4, "--grid-points", 5, "--n-particles", 3],
+         {"learners": 4, "grid_points": 5, "n_particles": 3, "seed": 0}),
+    ],
+)
+def test_synthetic_commands_pass_only_the_flags_given(tmp_path, monkeypatch, argv, passed):
+    from wgboost import synthetic
+
+    seen = []
+
+    def driver(**kwargs):
+        seen.append(kwargs)
+        return [{"a": 1, "b": 2.5}]
+
+    name = "run_direction_bench" if argv[0] == "bench-directions" else "run_toy_sin"
+    monkeypatch.setattr(synthetic, name, driver)
+    monkeypatch.delenv("WGBOOST_SEED", raising=False)
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 0
+    assert seen == [passed]
+    assert read_rows(out) == (["a", "b"], [["1", "2.5"]])
+
+
+@pytest.mark.parametrize("argv", [["bench-directions", "--max-depth", 2],
+                                  ["bench-directions", "--learning-rate", 0.2],
+                                  ["bench-directions", "--kernel-scale", 0.2],
+                                  ["bench-directions", "--mmd-scale", 0.05],
+                                  ["toy-sin", "--max-depth", 2],
+                                  ["toy-sin", "--learning-rate", 0.2]])
+def test_synthetic_commands_have_no_unused_setting_flags(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv, "--out", tmp_path / "out.csv")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bad_checkpoint_list_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run("bench-directions", "--out", out, "--checkpoints", "0,x") == 2
+    assert capsys.readouterr().err == "config error: bad checkpoint list '0,x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("boost.n_particles", "10"),
@@ -399,3 +450,45 @@ def test_importing_the_cli_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _three_feature_table(path, label):
+    """60 rows of three normal features and ``label(X)`` as the last column."""
+    X = np.random.default_rng(3).normal(size=(60, 3))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c", "y"])
+        for x, y in zip(X, label(X)):
+            w.writerow([*(repr(float(v)) for v in x), y])
+    return path
+
+
+def test_overflowing_particle_cache_is_a_numeric_error(tmp_path, capsys):
+    data = _three_feature_table(tmp_path / "cls.csv", lambda X: np.where(X[:, 0] > 0, "up", "down"))
+    model = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(
+            "train", "--task", "classification", "--data", data, "--label-column", "y",
+            "--init-steps", 10, "--max-iterations", 5, "--learning-rate", 1e308,
+            "--out-model", model,
+        ) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: boosting iteration 0: non-finite particles for datum 1\n"
+    )
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("learning_rate", [1e6, 1e12, 1e100])
+def test_overflowing_scale_is_a_numeric_error_without_a_warning(tmp_path, capsys, learning_rate):
+    data = _three_feature_table(tmp_path / "reg.csv", lambda X: np.sin(X[:, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(
+            "train", "--task", "regression", "--data", data, "--label-column", "y",
+            "--init-steps", 10, "--max-iterations", 5, "--learning-rate", learning_rate,
+            "--out-model", tmp_path / "m.json",
+        ) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: boosting iteration 1: non-finite direction for datum 0\n"
+    )
