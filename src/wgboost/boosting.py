@@ -235,6 +235,15 @@ def _first_non_finite_row(a: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
+def _name_row(err: NumericError, rows: np.ndarray | None, prefix: str = "") -> NumericError:
+    """``err`` with ``prefix``, its datum mapped through ``rows`` to a row of the caller's data."""
+    detail, datum = str(err), err.datum
+    if datum is not None and rows is not None:
+        datum = int(rows[datum])
+        detail = detail.replace(f"datum {err.datum}", f"datum {datum}", 1)
+    return NumericError(prefix + detail, datum=datum)
+
+
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     """Independent generators for init draw, Langevin noise, subsampling, split."""
     children = np.random.SeedSequence(seed).spawn(4)
@@ -266,7 +275,7 @@ def _run_init(
                 cfg.direction, theta, targets, cfg.kernel, rate=cfg.init.rate, rng=rng_noise
             )
         except NumericError as err:
-            raise NumericError(f"initializer step {step}: {err}") from err
+            raise NumericError(f"initializer step {step}: {err}", datum=err.datum) from err
         if g.ndim == 3:
             g = g.mean(axis=0)
         theta = theta + cfg.init.rate * g
@@ -339,20 +348,19 @@ def fit(
                 cfg.direction, theta, t_it, cfg.kernel, rate=cfg.learning_rate, rng=rng_noise
             )
         except NumericError as err:
-            detail = str(err)
-            if err.datum is not None and rows is not None:  # name the training row
-                detail = detail.replace(f"datum {err.datum}", f"datum {rows[err.datum]}", 1)
-            raise NumericError(f"boosting iteration {m}: {detail}") from err
+            raise _name_row(err, rows, f"boosting iteration {m}: ") from err
         bad = _first_non_finite_row(g)
         if bad is not None:
             datum = bad if rows is None else int(rows[bad])
-            raise NumericError(f"boosting iteration {m}: non-finite direction for datum {datum}")
+            raise NumericError(f"boosting iteration {m}: non-finite direction for datum {datum}",
+                               datum=datum)
         trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
         with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
             _add_round(F, trees, X, cfg.learning_rate)
         bad = _first_non_finite_row(F)
         if bad is not None:
-            raise NumericError(f"boosting iteration {m}: non-finite particles for datum {bad}")
+            raise NumericError(f"boosting iteration {m}: non-finite particles for datum {bad}",
+                               datum=bad)
         for i, tree in enumerate(trees):
             ensembles[i].append(tree)
         trace.append(float(np.mean(g * g)))
@@ -405,7 +413,10 @@ def fit_with_early_stopping(
         metric = lambda F: predictive_nll_normal(F, t_val.y, Standardization())
     else:
         metric = lambda F: predictive_nll_categorical(F, t_val.y, t_val.k)
-    search = fit(X[fit_idx], targets.take(fit_idx), cfg)
+    try:
+        search = fit(X[fit_idx], targets.take(fit_idx), cfg)
+    except NumericError as err:
+        raise _name_row(err, fit_idx) from err
     curve = [metric(F) for F in search.staged_predict(X[val_idx])]
     del search  # its trees need not outlive the curve into the refit
     best = int(np.argmin(curve))

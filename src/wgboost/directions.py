@@ -8,8 +8,9 @@ them as F + nu * f, no negation anywhere):
 - ``smoothed_grad``: the kernel-smoothed score.  Row n averages, over
   reference particles theta^m, the score at theta^m weighted by
   k(theta^n, theta^m), plus the kernel gradient in the reference argument.
-  The second term, (2/h)(theta^n - theta^m) k, pushes particles apart; it is
-  what keeps the set spread over mu instead of collapsing onto the mode.
+  The second term, R[n, m] = (2/h)(theta^n - theta^m) k, pushes particles
+  apart; it is what keeps the set spread over mu instead of collapsing onto
+  the mode.
 - ``hess_diag`` / ``diag_newton``: a diagonal smoothed curvature estimate and
   the coordinate-wise Newton step smoothed_grad / hess_diag.
 - ``full_newton``: the exact Newton analogue.  It assembles the full
@@ -21,6 +22,21 @@ them as F + nu * f, no negation anywhere):
 Every estimator accepts particles of shape (N, d) or a batch (D, N, d) with a
 matching batch of targets, and consumes only derivatives of the target log
 density (rescaling the density leaves all outputs bit-identical).
+
+Cost.  The score and curvature sums are matrix products, K @ scores and
+(K * K) @ (-curv), and the repulsion enters only through its sums over m,
+which have closed forms (as in the reference SVGD code of Liu & Wang, 2016):
+
+    sum_m R[n, m]   = (2/h)   (c^n rowsum_n K - (K c)^n),
+    sum_m R[n, m]^2 = (4/h^2) ((c^n)^2 rowsum_n K^2 - 2 c^n (K^2 c)^n + (K^2 c^2)^n),
+
+elementwise in the d coordinates.  Here c is theta centred on its mean over
+the N particles.  Both sums are unchanged when all particles shift together,
+so centring is exact; without it, a set sitting far from 0 loses the second
+sum to cancellation (at offset 1e6 and spread 0.1 it came out 3% off).  K is
+summed one coordinate at a time, so no (..., N, N, d) array is built;
+``full_newton`` is the one estimator that still forms the repulsion tensor R,
+for its Hessian blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericError
-from .kernel import KernelConfig, gaussian
+from .kernel import KernelConfig
 from .targets import EvidentialTarget
 
 #: Smallest curvature allowed in the diagonal Newton denominator.
@@ -56,26 +72,53 @@ def _check_particles(particles: np.ndarray) -> np.ndarray:
     return p
 
 
-def _gram_terms(theta: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise kernel matrix K[n, m] and repulsion term R[n, m].
+def _gram(theta: np.ndarray, h: float) -> np.ndarray:
+    """Kernel matrix K[n, m] = exp(-||theta^n - theta^m||^2 / h) of each particle set.
 
-    R[n, m] = (2/h) (theta^n - theta^m) K[n, m] is the gradient of
-    k(theta^n, .) taken in the reference (integrated) argument theta^m.
+    The squared distances are summed one coordinate at a time, left to right as
+    ``kernel.gaussian`` sums them for d < 8, so no (..., N, N, d) difference
+    tensor is built.
     """
-    diff = theta[..., :, None, :] - theta[..., None, :, :]
-    K = gaussian(diff, h)
-    R = (2.0 / h) * diff * K[..., None]
-    return K, R
+    sq = None
+    with np.errstate(over="ignore"):  # a distance past the float range gives K its limit, 0
+        for k in range(theta.shape[-1]):
+            col = theta[..., k]
+            dk = col[..., :, None] - col[..., None, :]
+            dk *= dk
+            if sq is None:
+                sq = dk
+            else:
+                sq += dk
+    return np.exp(-sq / h)
 
 
-def _smoothed_gradient(K: np.ndarray, R: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Rows (1/N) sum_m [ scores^m K[n, m] + R[n, m] ]: the smoothed gradient."""
-    return (np.einsum("...nm,...md->...nd", K, scores) + R.sum(axis=-2)) / K.shape[-1]
+def _centred(theta: np.ndarray) -> np.ndarray:
+    """theta minus its mean over the N particles; the repulsion sums are shift-free."""
+    return theta - theta.mean(axis=-2, keepdims=True)
 
 
-def _smoothed_curvature(K: np.ndarray, R: np.ndarray, curv: np.ndarray) -> np.ndarray:
-    """Rows (1/N) sum_m [ -curv^m K[n, m]^2 + R[n, m]^2 ]: the smoothed diagonal curvature."""
-    return (np.einsum("...nm,...md->...nd", K * K, -curv) + np.sum(R * R, axis=-2)) / K.shape[-1]
+def _smoothed_gradient(K: np.ndarray, c: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
+    """Rows (1/N) sum_m [ scores^m K[n, m] + R[n, m] ]: the smoothed gradient.
+
+    sum_m R[n, m] = (2/h) (c^n rowsum_n K - (K c)^n) for the centred particles c.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite row
+        repulsion = (2.0 / h) * (c * K.sum(axis=-1, keepdims=True) - K @ c)
+        return (K @ scores + repulsion) / K.shape[-1]
+
+
+def _smoothed_curvature(K: np.ndarray, c: np.ndarray, curv: np.ndarray, h: float) -> np.ndarray:
+    """Rows (1/N) sum_m [ -curv^m K[n, m]^2 + R[n, m]^2 ]: the smoothed diagonal curvature.
+
+    sum_m R[n, m]^2 = (4/h^2) ((c^n)^2 rowsum_n K^2 - 2 c^n (K^2 c)^n + (K^2 c^2)^n),
+    elementwise in the d coordinates, for the centred particles c.
+    """
+    K2 = K * K
+    with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite row
+        c2 = c * c
+        repulsion = c2 * K2.sum(axis=-1, keepdims=True) - 2.0 * c * (K2 @ c) + K2 @ c2
+        repulsion *= 4.0 / (h * h)
+        return (K2 @ -curv + repulsion) / K.shape[-1]
 
 
 def smoothed_grad(
@@ -90,8 +133,8 @@ def smoothed_grad(
     the kernel terms vanish and the row equals the raw score exactly.
     """
     theta = _check_particles(particles)
-    K, R = _gram_terms(theta, kernel.scale)
-    return _smoothed_gradient(K, R, target.log_grad(theta))
+    K = _gram(theta, kernel.scale)
+    return _smoothed_gradient(K, _centred(theta), target.log_grad(theta), kernel.scale)
 
 
 def hess_diag(
@@ -105,8 +148,8 @@ def hess_diag(
     + ((2/h)(theta^n - theta^m) k)^2 ], elementwise in the d coordinates.
     """
     theta = _check_particles(particles)
-    K, R = _gram_terms(theta, kernel.scale)
-    return _smoothed_curvature(K, R, target.log_hess_diag(theta))
+    K = _gram(theta, kernel.scale)
+    return _smoothed_curvature(K, _centred(theta), target.log_hess_diag(theta), kernel.scale)
 
 
 def diag_newton(
@@ -116,9 +159,10 @@ def diag_newton(
 ) -> np.ndarray:
     """Coordinate-wise Newton direction smoothed_grad / max(hess_diag, floor)."""
     theta = _check_particles(particles)
-    K, R = _gram_terms(theta, kernel.scale)
-    g = _smoothed_gradient(K, R, target.log_grad(theta))
-    h = _smoothed_curvature(K, R, target.log_hess_diag(theta))
+    K = _gram(theta, kernel.scale)
+    c = _centred(theta)
+    g = _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
+    h = _smoothed_curvature(K, c, target.log_hess_diag(theta), kernel.scale)
     return g / np.maximum(h, CURVATURE_FLOOR)
 
 
@@ -146,8 +190,10 @@ def full_newton(
     n, d = theta.shape[-2], theta.shape[-1]
 
     hess = target.log_hess_full(theta)
-    K, R = _gram_terms(theta, kernel.scale)
-    g = _smoothed_gradient(K, R, target.log_grad(theta))
+    K = _gram(theta, kernel.scale)
+    g = _smoothed_gradient(K, _centred(theta), target.log_grad(theta), kernel.scale)
+    diff = theta[..., :, None, :] - theta[..., None, :, :]
+    R = (2.0 / kernel.scale) * diff * K[..., None]  # R[n, m] of each pair, for the blocks below
 
     blocks = np.einsum("...nm,...km,...mij->...nkij", K, K, -hess)
     blocks += np.einsum("...nmi,...kmj->...nkij", R, R)

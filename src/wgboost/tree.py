@@ -371,19 +371,26 @@ def _best_split(XT: np.ndarray, YT: np.ndarray, order: np.ndarray,
     if n < 2 * min_leaf:
         return None
     xs = np.take_along_axis(XT, order, axis=1)  # (p, n)
-    csum = np.cumsum(np.take(YT, order, axis=1), axis=2)  # (d, p, n): contiguous prefix sums
-    total = csum[:, 0, -1]  # (d,), identical across features
     n_left = np.arange(1, n, dtype=float)
     n_right = n - n_left
-    right_sum = (total[:, None, None] - csum)[..., :-1]
-    score = _squared_norms(csum[..., :-1]) / n_left + _squared_norms(right_sum) / n_right
-    parent = float(np.sum(total**2) / n)
-    gain = score - parent
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled, below
+        csum = np.cumsum(np.take(YT, order, axis=1), axis=2)  # (d, p, n): contiguous prefix sums
+        total = csum[:, 0, -1]  # (d,), identical across features
+        right_sum = (total[:, None, None] - csum)[..., :-1]
+        score = _squared_norms(csum[..., :-1]) / n_left + _squared_norms(right_sum) / n_right
+        parent = float(np.sum(total**2) / n)
+        gain = score - parent
 
     valid = (xs[:, 1:] > xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
     gain[~valid] = -np.inf
     flat = gain.ravel()  # feature-major, so argmax tie-breaks on feature then threshold
-    best = int(np.argmax(flat))
+    best = int(np.argmax(flat))  # the first nan, if there is one
+    if not (np.isfinite(parent) and flat[best] < np.inf):
+        # Sums or squares of targets near the float range overflowed.  Every
+        # gain scales with the square of Y, so Y / 2^e, exact and at most 1 in
+        # size, has the same best split.
+        e = np.frexp(np.max(np.abs(YT[:, order[0]])))[1]
+        return _best_split(XT, np.ldexp(YT, -e), order, min_leaf)
     if not flat[best] > _GAIN_TOL * max(1.0, abs(parent)):
         return None
     j, pos = divmod(best, n - 1)

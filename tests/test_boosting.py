@@ -597,6 +597,18 @@ def test_singular_hessian_under_subsampling_names_the_training_row():
     assert target.positions[-1] != 30  # its position inside that subsample
 
 
+def test_early_stopping_numeric_error_names_the_training_row():
+    """The search fit numbers its rows among the fit split; the error maps them back."""
+    X = np.random.default_rng(3).normal(size=(60, 3))
+    targets, std = make_regression_targets(np.sin(X[:, 0]))
+    cfg = BoostConfig(learning_rate=1e6, max_iterations=5, init=InitConfig(steps=10), seed=4)
+    with pytest.raises(NumericError) as err:
+        fit_with_early_stopping(X, targets, cfg, 0.2, standardization=std)
+    # row 0 is held out for validation, so the first fit row is row 1
+    assert str(err.value) == "boosting iteration 1: non-finite direction for datum 1"
+    assert err.value.datum == 1
+
+
 def test_estimator_numeric_error_names_the_boosting_iteration(monkeypatch):
     import wgboost.boosting as boosting
 

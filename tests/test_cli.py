@@ -479,6 +479,25 @@ def test_overflowing_particle_cache_is_a_numeric_error(tmp_path, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("learning_rate", [1e200, 1e300])
+def test_huge_learning_rate_is_a_numeric_error_without_a_warning(tmp_path, capsys, task,
+                                                                 learning_rate):
+    label = {"classification": lambda X: np.where(X[:, 0] > 0, "up", "down"),
+             "regression": lambda X: np.sin(X[:, 0])}[task]
+    data = _three_feature_table(tmp_path / "t.csv", label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(
+            "train", "--task", task, "--data", data, "--label-column", "y",
+            "--init-steps", 10, "--max-iterations", 5, "--learning-rate", learning_rate,
+            "--out-model", tmp_path / "m.json",
+        ) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: boosting iteration 1: non-finite direction for datum 0\n"
+    )
+
+
 @pytest.mark.parametrize("learning_rate", [1e6, 1e12, 1e100])
 def test_overflowing_scale_is_a_numeric_error_without_a_warning(tmp_path, capsys, learning_rate):
     data = _three_feature_table(tmp_path / "reg.csv", lambda X: np.sin(X[:, 0]))

@@ -90,6 +90,50 @@ def oracle_full_newton(theta, target, h):
     return (Kb @ w).reshape(n, d)
 
 
+def tensor_moments(theta, scores, curv, h):
+    """Both kernel sums built from the (..., N, N, d) repulsion tensor R.
+
+    This is the direct form the closed-form sums in the library replace:
+    R[n, m] = (2/h)(theta^n - theta^m) K[n, m], summed (and squared) over m.
+    """
+    diff = theta[..., :, None, :] - theta[..., None, :, :]
+    K = np.exp(-np.sum(diff**2, axis=-1) / h)
+    R = (2.0 / h) * diff * K[..., None]
+    n = K.shape[-1]
+    grad = (np.einsum("...nm,...md->...nd", K, scores) + R.sum(axis=-2)) / n
+    curvature = (np.einsum("...nm,...md->...nd", K * K, -curv) + np.sum(R * R, axis=-2)) / n
+    return grad, curvature
+
+
+def _equivalence_case(name):
+    rng = np.random.default_rng(2024)
+    if name == "collapsed":  # spread 1e-6 around 5: every K[n, m] rounds to near 1
+        return 5.0 + 1e-6 * rng.normal(size=(10, 2)), NormalLocationScaleTarget(0.7)
+    if name == "far-offset":  # spread 0.1 around 1e6: uncentred sums cancel catastrophically
+        return 1e6 + 0.1 * rng.normal(size=(10, 2)), GaussianTarget(1e6, 0.5, ndim=2)
+    if name == "1-d":
+        return rng.normal(size=(10, 1)), GaussianTarget(0.3, 0.5)
+    y = rng.normal(size=7)
+    if name == "batched":  # one (N, d) set per target
+        return rng.normal(size=(7, 10, 2)), NormalLocationScaleTarget(y)
+    # the initializer's case: one shared (N, d) set against D targets
+    return rng.normal(size=(10, 2)), NormalLocationScaleTarget(y)
+
+
+@pytest.mark.parametrize("name", ["collapsed", "far-offset", "1-d", "batched", "shared"])
+def test_closed_form_sums_match_tensor_form(name):
+    theta, target = _equivalence_case(name)
+    cfg = KernelConfig(0.1)
+    grad, curvature = tensor_moments(
+        theta, target.log_grad(theta), target.log_hess_diag(theta), cfg.scale
+    )
+    got_grad = smoothed_grad(theta, target, cfg)
+    got_curvature = hess_diag(theta, target, cfg)
+    assert got_grad.shape == got_curvature.shape == grad.shape
+    np.testing.assert_allclose(got_grad, grad, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got_curvature, curvature, rtol=1e-9, atol=0)
+
+
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (5, 2)])
 def test_smoothed_grad_matches_oracle(n, d):
     rng = np.random.default_rng(n * 10 + d)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,21 @@ def test_children_of_a_fallback_threshold_split_further():
     assert tree.to_dict() == reference_fit_tree(X, Y, TreeParams(max_depth=2)).to_dict()
     assert tree.threshold[0] == a and tree.n_nodes == 7
     assert np.array_equal(tree.predict(X), Y)
+
+
+@pytest.mark.parametrize("exponent", [600, 1000])
+def test_targets_near_the_float_range_split_like_small_ones(exponent):
+    """Y * 2^e squares past the float range, yet splits exactly as Y, with no warning."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 3))
+    Y = np.column_stack([np.sin(2 * X[:, 0]), X[:, 1] + 0.1 * rng.normal(size=40)])
+    small = fit_tree(X, Y, TreeParams(max_depth=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = fit_tree(X, np.ldexp(Y, exponent), TreeParams(max_depth=3))
+    assert np.array_equal(huge.feature, small.feature)
+    assert np.array_equal(huge.threshold, small.threshold, equal_nan=True)
+    assert np.array_equal(huge.value, np.ldexp(small.value, exponent))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
