@@ -484,8 +484,11 @@ def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
         "init_particles": model.init_particles.tolist(),
         "ensembles": [[tree.to_dict() for tree in trees] for trees in model.ensembles],
     }
+    # json.dumps runs the C encoder (json.dump to a file does not); a value
+    # that is not JSON fails here, before the file is touched
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with atomic_file(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -11,14 +11,16 @@ reproducible bit for bit.
 Features are sorted once per fit, not once per node (CART presorting, as in
 XGBoost's exact-greedy column blocks): :func:`presort` gives, for every
 feature, the row ids stably sorted by that feature.  A node holds its rows in
-that sorted order, and its children get theirs by a stable partition of the
-node's.  A stable partition of a stable argsort is the stable argsort of the
-subset, so every split is the one a per-node sort would find.  The boosting
-loop presorts its rows once and hands the order to all the trees it fits.
+that sorted order, together with their values of each feature in the same
+order, and its children get both by one stable partition of the node's.  A
+stable partition of a stable argsort is the stable argsort of the subset, so
+every split is the one a per-node sort would find.  The boosting loop
+presorts its rows once and hands the order to all the trees it fits.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,20 +115,9 @@ class RegressionTree:
         return out[0] if single else out
 
     def to_dict(self) -> dict:
-        feature, threshold, left, right, value = (getattr(self, name) for name in _COLUMNS)
-        nodes = []
-        for i in range(self.n_nodes):
-            if feature[i] < 0:
-                nodes.append({"value": value[i].tolist()})
-            else:
-                nodes.append(
-                    {
-                        "feature": int(feature[i]),
-                        "threshold": float(threshold[i]),
-                        "left": int(left[i]),
-                        "right": int(right[i]),
-                    }
-                )
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        nodes = [{"value": v} if j < 0 else {"feature": j, "threshold": t, "left": lo, "right": hi}
+                 for j, t, lo, hi, v in zip(*columns)]
         return {"n_features": self.n_features, "nodes": nodes}
 
     @classmethod
@@ -292,8 +283,10 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     elif np.shape(order) != X.shape[::-1]:
         raise ValueError(f"order must be presort(X), of shape {X.shape[::-1]}, got "
                          f"{np.shape(order)}")
-    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+    XT, YT, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T), np.ascontiguousarray(Y)
     p = XT.shape[0]
+    max_depth, min_leaf = params.max_depth, params.min_samples_leaf
+    min_split = max(params.min_samples_split, 2 * min_leaf)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -301,44 +294,46 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     right: list[int] = []
     value: list[np.ndarray] = []
 
-    def add_node() -> int:
+    def build(rows: np.ndarray, order: np.ndarray, xs: np.ndarray, keep: np.ndarray | None,
+              depth: int) -> int:
+        """Grow the subtree of ``rows`` (in index order).
+
+        Its rows sorted by each feature, and their values of that feature, are
+        ``order[keep]`` and ``xs[keep]``: a stable partition of the parent's
+        (all of ``order`` and ``xs`` when ``keep`` is None), taken only if the
+        node can split.
+        """
         node = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
         left.append(node)
         right.append(node)
-        value.append(np.zeros(Y.shape[1]))
-        return node
-
-    def build(rows: np.ndarray, order: np.ndarray, keep: np.ndarray | None, depth: int) -> int:
-        """Grow the subtree of ``rows`` (in index order).
-
-        Its rows sorted by each feature are ``order[keep]``, a stable partition
-        of the parent's sorted rows (all of ``order`` when ``keep`` is None),
-        taken only if the node can split.
-        """
-        node = add_node()
-        value[node] = Y[rows].mean(axis=0)
-        if depth >= params.max_depth or rows.size < params.min_samples_split:
+        value.append(np.add.reduce(Y.take(rows, axis=0), axis=0) / rows.size)  # Y[rows].mean(0)
+        if depth >= max_depth or rows.size < min_split:
             return node
-        if keep is not None:
-            order = order[keep].reshape(p, rows.size)
-        split = _best_split(XT, YT, order, params.min_samples_leaf)
+        if keep is not None:  # a take by index: boolean gathers branch on every entry
+            keep = keep.ravel().nonzero()[0]
+            order, xs = order.take(keep).reshape(p, rows.size), xs.take(keep).reshape(p, rows.size)
+        split = _best_split(xs, YT, order, min_leaf)
         if split is None:
             return node
         j, thr = split
-        mask = XT[j, rows] <= thr
-        if not mask.any() or mask.all():
-            return node
         feature[node] = j
         threshold[node] = thr
-        goes_left = np.take(XT[j], order) <= thr  # (p, n), in each feature's sorted order
-        left[node] = build(rows[mask], order, goes_left, depth + 1)
-        right[node] = build(rows[~mask], order, ~goes_left, depth + 1)
+        # The threshold sends the pos + 1 >= min_leaf smallest values of
+        # feature j left and at least min_leaf rows right: both children hold rows.
+        x = XT[j]
+        mask = x.take(rows) <= thr
+        goes_left = x.take(order) <= thr  # (p, n), in each feature's sorted order
+        left[node] = build(rows[mask], order, xs, goes_left, depth + 1)
+        right[node] = build(rows[~mask], order, xs, ~goes_left, depth + 1)
         return node
 
-    build(np.arange(X.shape[0]), order, None, 0)
-    return RegressionTree(feature, threshold, left, right, np.stack(value), X.shape[1])
+    # the split search redoes an overflow scaled (see _best_split); a leaf
+    # mean whose sum overflows is inf, which the boosting loop reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        build(np.arange(X.shape[0]), order, np.take_along_axis(XT, order, axis=1), None, 0)
+    return RegressionTree(feature, threshold, left, right, np.array(value), X.shape[1])
 
 
 def _squared_norms(a: np.ndarray) -> np.ndarray:
@@ -357,43 +352,41 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_split(XT: np.ndarray, YT: np.ndarray, order: np.ndarray,
+def _best_split(xs: np.ndarray, YT: np.ndarray, order: np.ndarray,
                 min_leaf: int) -> tuple[int, float] | None:
     """Scan all features at once; return (feature, threshold) or None.
 
-    XT (p, D) and YT (d, D) are the transposed features and targets, and
-    ``order`` the node's (p, n) row ids sorted by each feature.  Uses the
-    identity SSE(parent) - SSE(children) = sum_parts |sum Y|^2 / count -
-    |sum Y|^2 / n, evaluated for all split positions from per-feature prefix
-    sums.
+    ``order`` holds the node's (p, n) row ids sorted by each feature, ``xs``
+    their values of that feature, and YT (d, D) the transposed targets; the
+    node has at least 2 * min_leaf rows.  Uses the identity SSE(parent) -
+    SSE(children) = sum_parts |sum Y|^2 / count - |sum Y|^2 / n, evaluated
+    from per-feature prefix sums for every split position that leaves
+    min_leaf rows on each side.  The caller ignores overflow and invalid
+    warnings: an overflow is redone scaled, below.
     """
     p, n = order.shape
-    if n < 2 * min_leaf:
-        return None
-    xs = np.take_along_axis(XT, order, axis=1)  # (p, n)
-    n_left = np.arange(1, n, dtype=float)
-    n_right = n - n_left
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled, below
-        csum = np.cumsum(np.take(YT, order, axis=1), axis=2)  # (d, p, n): contiguous prefix sums
-        total = csum[:, 0, -1]  # (d,), identical across features
-        right_sum = (total[:, None, None] - csum)[..., :-1]
-        score = _squared_norms(csum[..., :-1]) / n_left + _squared_norms(right_sum) / n_right
-        parent = float(np.sum(total**2) / n)
-        gain = score - parent
-
-    valid = (xs[:, 1:] > xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    gain[~valid] = -np.inf
+    lo, hi = min_leaf - 1, n - min_leaf  # split after sorted position lo, ..., hi - 1
+    csum = YT.take(order, axis=1).cumsum(axis=2)  # (d, p, n): contiguous prefix sums
+    total = csum[:, 0, -1]  # (d,), identical across features
+    left_sum = csum[..., lo:hi]
+    right_sum = total[:, None, None] - left_sum
+    n_left = np.arange(lo + 1, hi + 1, dtype=float)
+    score = _squared_norms(left_sum) / n_left + _squared_norms(right_sum) / (n - n_left)
+    parent = float(np.add.reduce(total**2) / n)
+    gain = score - parent
+    gain[xs[:, lo + 1:hi + 1] == xs[:, lo:hi]] = -np.inf  # no threshold between equal values
     flat = gain.ravel()  # feature-major, so argmax tie-breaks on feature then threshold
-    best = int(np.argmax(flat))  # the first nan, if there is one
-    if not (np.isfinite(parent) and flat[best] < np.inf):
+    best = int(flat.argmax())  # the first nan, if there is one
+    if not (math.isfinite(parent) and flat[best] < np.inf):
         # Sums or squares of targets near the float range overflowed.  Every
         # gain scales with the square of Y, so Y / 2^e, exact and at most 1 in
         # size, has the same best split.
         e = np.frexp(np.max(np.abs(YT[:, order[0]])))[1]
-        return _best_split(XT, np.ldexp(YT, -e), order, min_leaf)
+        return _best_split(xs, np.ldexp(YT, -e), order, min_leaf)
     if not flat[best] > _GAIN_TOL * max(1.0, abs(parent)):
         return None
-    j, pos = divmod(best, n - 1)
+    j, pos = divmod(best, hi - lo)
+    pos += lo
     thr = 0.5 * (xs[j, pos] + xs[j, pos + 1])
     if thr >= xs[j, pos + 1]:
         # midpoint rounded up to the right value; fall back to the left one

@@ -371,6 +371,12 @@ def test_format_version_1_model_loads_and_predicts_the_same():
     assert np.array_equal(model.predict(V1_ROWS, num_trees=2), np.array(V1_PREDICTIONS_2_TREES))
 
 
+def test_saving_the_format_version_1_model_gives_back_its_bytes(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(load_model(V1_MODEL), path)
+    assert path.read_bytes() == V1_MODEL.read_bytes()
+
+
 def test_on_iteration_sees_every_round():
     X, _, targets, _ = small_regression()
     seen = []

@@ -322,16 +322,20 @@ def test_children_of_a_fallback_threshold_split_further():
     assert np.array_equal(tree.predict(X), Y)
 
 
-@pytest.mark.parametrize("exponent", [600, 1000])
-def test_targets_near_the_float_range_split_like_small_ones(exponent):
+@pytest.mark.parametrize("exponent, min_leaf", [
+    pytest.param(600, 1, id="600"), pytest.param(1000, 1, id="1000"),
+    pytest.param(1000, 3, id="1000-min_leaf3"),  # the redo scans a min-leaf slice too
+])
+def test_targets_near_the_float_range_split_like_small_ones(exponent, min_leaf):
     """Y * 2^e squares past the float range, yet splits exactly as Y, with no warning."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(40, 3))
     Y = np.column_stack([np.sin(2 * X[:, 0]), X[:, 1] + 0.1 * rng.normal(size=40)])
-    small = fit_tree(X, Y, TreeParams(max_depth=3))
+    params = TreeParams(max_depth=3, min_samples_leaf=min_leaf)
+    small = fit_tree(X, Y, params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        huge = fit_tree(X, np.ldexp(Y, exponent), TreeParams(max_depth=3))
+        huge = fit_tree(X, np.ldexp(Y, exponent), params)
     assert np.array_equal(huge.feature, small.feature)
     assert np.array_equal(huge.threshold, small.threshold, equal_nan=True)
     assert np.array_equal(huge.value, np.ldexp(small.value, exponent))
