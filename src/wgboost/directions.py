@@ -14,14 +14,17 @@ them as F + nu * f, no negation anywhere):
 - ``hess_diag`` / ``diag_newton``: a diagonal smoothed curvature estimate and
   the coordinate-wise Newton step smoothed_grad / hess_diag.
 - ``full_newton``: the exact Newton analogue.  It assembles the full
-  (N d) x (N d) smoothed Hessian H and block kernel Gram K and returns the
-  rows of K H^{-1} g.
+  (N d) x (N d) smoothed Hessian H and returns K applied to the N rows of
+  H^{-1} g.
 - ``langevin_direction``: score plus sqrt(2 / rate) Gaussian noise, so that
   F + rate * f performs an unadjusted Langevin step.
 
 Every estimator accepts particles of shape (N, d) or a batch (D, N, d) with a
 matching batch of targets, and consumes only derivatives of the target log
 density (rescaling the density leaves all outputs bit-identical).
+
+Every estimator but Langevin reads the Gaussian Gram matrix K[n, m] =
+k(theta^n, theta^m) of each particle set from ``kernel.gram``.
 
 Cost.  The score and curvature sums are matrix products, K @ scores and
 (K * K) @ (-curv), and the repulsion enters only through its sums over m,
@@ -33,8 +36,7 @@ which have closed forms (as in the reference SVGD code of Liu & Wang, 2016):
 elementwise in the d coordinates.  Here c is theta centred on its mean over
 the N particles.  Both sums are unchanged when all particles shift together,
 so centring is exact; without it, a set sitting far from 0 loses the second
-sum to cancellation (at offset 1e6 and spread 0.1 it came out 3% off).  K is
-summed one coordinate at a time, so no (..., N, N, d) array is built;
+sum to cancellation (at offset 1e6 and spread 0.1 it came out 3% off).
 ``full_newton`` is the one estimator that still forms the repulsion tensor R,
 for its Hessian blocks.
 """
@@ -46,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericError
-from .kernel import KernelConfig
+from .kernel import KernelConfig, gram
 from .targets import EvidentialTarget
 
 #: Smallest curvature allowed in the diagonal Newton denominator.
@@ -72,29 +74,14 @@ def _check_particles(particles: np.ndarray) -> np.ndarray:
     return p
 
 
-def _gram(theta: np.ndarray, h: float) -> np.ndarray:
-    """Kernel matrix K[n, m] = exp(-||theta^n - theta^m||^2 / h) of each particle set.
+def _kernel_terms(particles: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked particles theta, their Gram matrix K and theta centred on its mean over N.
 
-    The squared distances are summed one coordinate at a time, left to right as
-    ``kernel.gaussian`` sums them for d < 8, so no (..., N, N, d) difference
-    tensor is built.
+    The repulsion sums are unchanged when all particles shift together, so
+    they read the centred c.
     """
-    sq = None
-    with np.errstate(over="ignore"):  # a distance past the float range gives K its limit, 0
-        for k in range(theta.shape[-1]):
-            col = theta[..., k]
-            dk = col[..., :, None] - col[..., None, :]
-            dk *= dk
-            if sq is None:
-                sq = dk
-            else:
-                sq += dk
-    return np.exp(-sq / h)
-
-
-def _centred(theta: np.ndarray) -> np.ndarray:
-    """theta minus its mean over the N particles; the repulsion sums are shift-free."""
-    return theta - theta.mean(axis=-2, keepdims=True)
+    theta = _check_particles(particles)
+    return theta, gram(theta, theta, h), theta - theta.mean(axis=-2, keepdims=True)
 
 
 def _smoothed_gradient(K: np.ndarray, c: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
@@ -132,9 +119,8 @@ def smoothed_grad(
     + (2/h)(theta^n - theta^m) k(theta^n, theta^m) ].  With a single particle
     the kernel terms vanish and the row equals the raw score exactly.
     """
-    theta = _check_particles(particles)
-    K = _gram(theta, kernel.scale)
-    return _smoothed_gradient(K, _centred(theta), target.log_grad(theta), kernel.scale)
+    theta, K, c = _kernel_terms(particles, kernel.scale)
+    return _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
 
 
 def hess_diag(
@@ -147,9 +133,8 @@ def hess_diag(
     Row n is (1/N) sum_m [ -log_hess_diag(theta^m) k(theta^n, theta^m)^2
     + ((2/h)(theta^n - theta^m) k)^2 ], elementwise in the d coordinates.
     """
-    theta = _check_particles(particles)
-    K = _gram(theta, kernel.scale)
-    return _smoothed_curvature(K, _centred(theta), target.log_hess_diag(theta), kernel.scale)
+    theta, K, c = _kernel_terms(particles, kernel.scale)
+    return _smoothed_curvature(K, c, target.log_hess_diag(theta), kernel.scale)
 
 
 def diag_newton(
@@ -158,9 +143,7 @@ def diag_newton(
     kernel: KernelConfig = KernelConfig(),
 ) -> np.ndarray:
     """Coordinate-wise Newton direction smoothed_grad / max(hess_diag, floor)."""
-    theta = _check_particles(particles)
-    K = _gram(theta, kernel.scale)
-    c = _centred(theta)
+    theta, K, c = _kernel_terms(particles, kernel.scale)
     g = _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
     h = _smoothed_curvature(K, c, target.log_hess_diag(theta), kernel.scale)
     return g / np.maximum(h, CURVATURE_FLOOR)
@@ -178,42 +161,34 @@ def full_newton(
         H[n, k] = (1/N) sum_m [ -log_hess_full(theta^m) K[n, m] K[k, m]
                                 + R[n, m] R[k, m]^T ],
 
-    K the block kernel Gram with blocks I_d k(theta^n, theta^k), and g the
-    stacked smoothed_grad rows.  A failed solve is retried once with a ridge
-    of RIDGE_SCALE * mean |diag H|; a second failure raises NumericError
-    naming the datum.
+    and g the stacked smoothed_grad rows; row n of the result is
+    sum_k K[n, k] W^k for the N rows W^k of H^{-1} g.  A failed solve is
+    retried once with a ridge of RIDGE_SCALE * mean |diag H|; a non-finite H
+    or a second failure raises NumericError naming the datum.
     """
-    theta = _check_particles(particles)
-    squeeze = theta.ndim == 2
-    if squeeze:
-        theta = theta[None]
+    theta, K, c = _kernel_terms(particles, kernel.scale)
     n, d = theta.shape[-2], theta.shape[-1]
 
     hess = target.log_hess_full(theta)
-    K = _gram(theta, kernel.scale)
-    g = _smoothed_gradient(K, _centred(theta), target.log_grad(theta), kernel.scale)
+    g = _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
     diff = theta[..., :, None, :] - theta[..., None, :, :]
     R = (2.0 / kernel.scale) * diff * K[..., None]  # R[n, m] of each pair, for the blocks below
 
     blocks = np.einsum("...nm,...km,...mij->...nkij", K, K, -hess)
     blocks += np.einsum("...nmi,...kmj->...nkij", R, R)
     blocks /= n
+    # a categorical Hessian does not depend on the label, so it may lack the D axis of g
     lead = np.broadcast_shapes(blocks.shape[:-4], g.shape[:-2])
     H = np.broadcast_to(blocks, lead + blocks.shape[-4:])
     H = np.swapaxes(H, -3, -2).reshape(lead + (n * d, n * d))
     g_flat = np.broadcast_to(g, lead + (n, d)).reshape(lead + (n * d, 1))
 
     W = _solve_with_ridge(H, g_flat)
-
-    K_block = np.einsum("...nk,ij->...nikj", K, np.eye(d))
-    K_block = np.broadcast_to(K_block.reshape(K.shape[:-2] + (n * d, n * d)), H.shape)
-    v = (K_block @ W)[..., 0].reshape(lead + (n, d))
-    # drop the promoted axis only if the target batch did not repopulate it
-    return v[0] if squeeze and lead == (1,) else v
+    return K @ W.reshape(lead + (n, d))
 
 
 def _solve_with_ridge(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve H W = g batched, retrying each failed datum once with a ridge."""
+    """Solve H W = g batched, retrying each failed datum once with a ridge unless its H is not finite."""
     try:
         W = np.linalg.solve(H, g)
         if np.all(np.isfinite(W)):
@@ -233,6 +208,8 @@ def _solve_with_ridge(H: np.ndarray, g: np.ndarray) -> np.ndarray:
                 continue
         except np.linalg.LinAlgError:
             pass
+        if not np.all(np.isfinite(flat_H[i])):
+            raise NumericError(f"smoothed Hessian is not finite for datum {i}", datum=i)
         ridge = RIDGE_SCALE * np.mean(np.abs(np.diagonal(flat_H[i])))
         flat_H[i][np.diag_indices(size)] += ridge
         try:

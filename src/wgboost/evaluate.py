@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import gaussian
+from .kernel import gram
 from .targets import to_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -232,7 +232,7 @@ def mmd_squared(a: np.ndarray, b, scale: float = 0.025) -> float:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if not scale > 0:
         raise ValueError("scale must be positive")
-    e_aa = float(np.mean(_gaussian_gram(a, a, scale)))
+    e_aa = float(np.mean(gram(a, a, scale)))
     if isinstance(b, NormalRef):
         if a.shape[1] != 1:
             raise ValueError("closed-form MMD against a normal needs 1-d particles")
@@ -246,10 +246,6 @@ def mmd_squared(a: np.ndarray, b, scale: float = 0.025) -> float:
         b = np.atleast_2d(np.asarray(b, dtype=float))
         if a.shape[1] != b.shape[1]:
             raise ValueError("particle sets disagree in dimension")
-        e_ab = float(np.mean(_gaussian_gram(a, b, scale)))
-        e_bb = float(np.mean(_gaussian_gram(b, b, scale)))
+        e_ab = float(np.mean(gram(a, b, scale)))
+        e_bb = float(np.mean(gram(b, b, scale)))
     return e_aa - 2.0 * e_ab + e_bb
-
-
-def _gaussian_gram(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    return gaussian(a[:, None, :] - b[None, :, :], scale)

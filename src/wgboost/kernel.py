@@ -2,7 +2,8 @@
 
 k(a, b) = exp(-||a - b||^2 / h) with a single positive bandwidth h.  The
 boosting directions default to h = 0.1; the MMD diagnostic uses h = 0.025.
-Both are configurable.
+Both are configurable.  ``gram`` gives the kernel matrix of two point sets,
+which the kernel-smoothed direction estimators and the MMD read.
 """
 
 from __future__ import annotations
@@ -34,6 +35,25 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gaussian(diff: np.ndarray, scale: float) -> np.ndarray:
     """exp(-||diff||^2 / scale) over the last axis of an array of differences a - b."""
     return np.exp(-np.sum(diff**2, axis=-1) / scale)
+
+
+def gram(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """Kernel matrix K[..., n, m] = exp(-||a^n - b^m||^2 / scale) of sets (..., N, d), (..., M, d).
+
+    The squared distances are summed one coordinate at a time, left to right as
+    ``gaussian`` sums them for d < 8, so no (..., N, M, d) difference tensor is
+    built.
+    """
+    sq = None
+    with np.errstate(over="ignore"):  # a distance past the float range gives K its limit, 0
+        for k in range(a.shape[-1]):
+            dk = a[..., :, None, k] - b[..., None, :, k]
+            dk *= dk
+            if sq is None:
+                sq = dk
+            else:
+                sq += dk
+    return np.exp(-sq / scale)
 
 
 def kernel_eval(a: np.ndarray, b: np.ndarray, cfg: KernelConfig = KernelConfig()) -> np.ndarray:

@@ -105,13 +105,23 @@ class NormalLocationScaleTarget:
     def _parts(self, theta: np.ndarray):
         theta = _check_theta(theta, 2)
         m, s = theta[..., 0], theta[..., 1]
-        # A log scale below about -709 overflows exp to inf.  No warning is
-        # needed: the direction built from it is non-finite, which boosting
+        # A log scale below about -709 overflows exp to inf (and gives r = nan
+        # where y = m), and a far smaller scale than the residual overflows the
+        # products and squares of r and inv_sigma taken from it.  No warning is
+        # needed: the direction built from them is non-finite, which boosting
         # reports as a NumericError naming the iteration and the datum.
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             inv_sigma = np.exp(-s)
-        r = (self._ycol - m) * inv_sigma  # standardized residual
+            r = (self._ycol - m) * inv_sigma  # standardized residual
         return m, s, inv_sigma, r
+
+    def _hess_parts(self, theta: np.ndarray):
+        """The diagonal (hm, hs) of the log Hessian, with inv_sigma and r."""
+        m, s, inv_sigma, r = self._parts(theta)
+        with np.errstate(over="ignore"):  # see _parts
+            hm = -(inv_sigma**2) - 1.0 / self.loc_scale**2
+            hs = -2.0 * r**2 - self.ig_rate * inv_sigma
+        return hm, hs, inv_sigma, r
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         """Unnormalized log posterior density, shape theta.shape[:-1] broadcast with y."""
@@ -122,21 +132,19 @@ class NormalLocationScaleTarget:
 
     def log_grad(self, theta: np.ndarray) -> np.ndarray:
         m, s, inv_sigma, r = self._parts(theta)
-        gm = r * inv_sigma - m / self.loc_scale**2
-        gs = r**2 - (self.ig_shape + 1.0) + self.ig_rate * inv_sigma
+        with np.errstate(over="ignore"):  # see _parts
+            gm = r * inv_sigma - m / self.loc_scale**2
+            gs = r**2 - (self.ig_shape + 1.0) + self.ig_rate * inv_sigma
         return _stack_last(gm, gs)
 
     def log_hess_diag(self, theta: np.ndarray) -> np.ndarray:
-        m, s, inv_sigma, r = self._parts(theta)
-        hm = -(inv_sigma**2) - 1.0 / self.loc_scale**2
-        hs = -2.0 * r**2 - self.ig_rate * inv_sigma
+        hm, hs, _, _ = self._hess_parts(theta)
         return _stack_last(hm, hs)
 
     def log_hess_full(self, theta: np.ndarray) -> np.ndarray:
-        m, s, inv_sigma, r = self._parts(theta)
-        hm = -(inv_sigma**2) - 1.0 / self.loc_scale**2
-        hs = -2.0 * r**2 - self.ig_rate * inv_sigma
-        cross = -2.0 * r * inv_sigma
+        hm, hs, inv_sigma, r = self._hess_parts(theta)
+        with np.errstate(over="ignore"):  # see _parts
+            cross = -2.0 * r * inv_sigma
         shape = np.broadcast_shapes(hm.shape, hs.shape, cross.shape)
         out = np.empty(shape + (2, 2))
         out[..., 0, 0] = hm

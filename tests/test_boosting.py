@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import warnings
 from datetime import timedelta
 from functools import reduce
 from operator import getitem
@@ -601,6 +602,23 @@ def test_singular_hessian_under_subsampling_names_the_training_row():
         "ridge 0"
     )
     assert target.positions[-1] != 30  # its position inside that subsample
+
+
+def test_full_newton_overflow_is_a_numeric_error_without_a_warning():
+    """The regression benchmark's 100-row table: after full Newton's first round
+    one datum's Hessian overflows, and round 1 names that datum."""
+    rng = np.random.default_rng([0, 1])
+    X = rng.standard_normal((100, 8))
+    mean, sd = np.sin(2.0 * X[:, 0]) + 0.5 * X[:, 1], 0.2 + 0.4 * np.abs(X[:, 2])
+    targets, std = make_regression_targets(mean + sd * rng.standard_normal(100))
+    cfg = task_config("regression", direction="full-newton", max_iterations=3,
+                      init=InitConfig(steps=0), seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            fit(X, targets, cfg, standardization=std)
+    assert str(err.value) == "boosting iteration 1: smoothed Hessian is not finite for datum 52"
+    assert err.value.datum == 52
 
 
 def test_early_stopping_numeric_error_names_the_training_row():

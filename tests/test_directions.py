@@ -326,6 +326,24 @@ def test_shared_particles_broadcast_over_targets():
     assert np.allclose(v[2], full_newton(theta, NormalLocationScaleTarget(-1.0)), atol=1e-10)
 
 
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_full_newton_shared_particles_against_categorical_batch(duplicated):
+    """The categorical Hessian has no D axis, so H is broadcast over the labels.
+
+    Two equal particles give H two equal block rows: every datum's solve then
+    fails, and each is retried on its own with a ridge.
+    """
+    labels = np.array([1, 3, 2, 3])
+    theta = np.random.default_rng(5).normal(size=(4, 2))
+    if duplicated:
+        theta[3] = theta[1]
+    v = full_newton(theta, CategoricalTarget(labels, 3))
+    assert v.shape == (4, 4, 2)
+    for i, label in enumerate(labels):
+        want = full_newton(theta, CategoricalTarget(np.int64(label), 3))
+        np.testing.assert_allclose(v[i], want, rtol=1e-12, atol=1e-14)
+
+
 class _FlatTarget:
     """Constant gradient, zero curvature: the smoothed Hessian is singular."""
 
@@ -352,6 +370,14 @@ class _FlatTarget:
 def test_full_newton_singular_hessian_raises():
     with pytest.raises(NumericError, match="singular"):
         full_newton(np.zeros((1, 1)), _FlatTarget())
+
+
+def test_full_newton_non_finite_hessian_is_named_before_any_ridge():
+    """exp(-s) overflows for datum 1: its H holds inf, and no ridge can mend that."""
+    theta = np.array([[[0.0, 0.0]], [[0.0, -800.0]]])
+    with pytest.raises(NumericError, match="^smoothed Hessian is not finite for datum 1$") as err:
+        full_newton(theta, NormalLocationScaleTarget(np.array([0.5, 0.5])))
+    assert err.value.datum == 1
 
 
 def test_diag_newton_floor_engages_on_flat_curvature():

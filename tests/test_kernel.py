@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wgboost.kernel import KernelConfig, kernel_eval, kernel_grad
+from wgboost.kernel import KernelConfig, gram, kernel_eval, kernel_grad
 
 # Frozen oracle values, worked by hand for h = 0.1:
 #   k([0.1], [0.0]) = exp(-0.01 / 0.1) = exp(-0.1)
@@ -62,6 +62,27 @@ def test_broadcasting_shapes():
     b = np.zeros((5, 3))
     assert kernel_eval(a, b).shape == (4, 5)
     assert kernel_grad(a, b).shape == (4, 5, 3)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_gram_equals_elementwise_kernel(d, lead):
+    """gram sums coordinates left to right as kernel_eval does below d = 8: equal bits.
+
+    From d = 8 on, numpy sums pairwise, and exp turns a sum's last-bit change
+    into a relative change of about the exponent times 1e-16; the exponents
+    here stay below about 10, so rtol 1e-14 measures the summation order alone.
+    """
+    rng = np.random.default_rng(d)
+    a = rng.normal(scale=0.5, size=lead + (6, d))
+    b = rng.normal(scale=0.5, size=lead + (5, d))
+    want = kernel_eval(a[..., :, None, :], b[..., None, :, :], KernelConfig(2.0))
+    got = gram(a, b, 2.0)
+    assert got.shape == lead + (6, 5)
+    if d < 8:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_values_in_unit_interval():
