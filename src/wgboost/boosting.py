@@ -230,9 +230,10 @@ def _add_round(F: np.ndarray, trees: list[RegressionTree], X: np.ndarray, lr: fl
 
 
 def _first_non_finite_row(a: np.ndarray) -> int | None:
-    """The first row of ``a`` (D, N, d) that holds a non-finite value, if any."""
-    finite = np.isfinite(a).all(axis=(1, 2))
-    return None if finite.all() else int(np.argmin(finite))
+    """The first datum of ``a`` (D, N, d) holding a non-finite value; an (N, d) ``a`` is datum 0."""
+    if np.isfinite(a).all():
+        return None
+    return int(np.argmin(np.isfinite(a.reshape(-1, *a.shape[-2:])).all(axis=(1, 2))))
 
 
 def _name_row(err: NumericError, rows: np.ndarray | None, prefix: str = "") -> NumericError:
@@ -242,6 +243,19 @@ def _name_row(err: NumericError, rows: np.ndarray | None, prefix: str = "") -> N
         datum = int(rows[datum])
         detail = detail.replace(f"datum {err.datum}", f"datum {datum}", 1)
     return NumericError(prefix + detail, datum=datum)
+
+
+def _direction(cfg: BoostConfig, theta: np.ndarray, targets: EvidentialTarget, rate: float,
+               rng: np.random.Generator, prefix: str, rows: np.ndarray | None = None) -> np.ndarray:
+    """The configured direction at ``theta``.  An estimator's NumericError, or its first non-finite
+    datum, raises NumericError with ``prefix``, the datum mapped through ``rows``."""
+    try:
+        g = compute_direction(cfg.direction, theta, targets, cfg.kernel, rate=rate, rng=rng)
+        if (bad := _first_non_finite_row(g)) is not None:
+            raise NumericError(f"non-finite direction for datum {bad}", datum=bad)
+    except NumericError as err:
+        raise _name_row(err, rows, prefix) from err
+    return g
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -270,12 +284,7 @@ def _run_init(
     """
     theta = rng_draw.standard_normal((cfg.n_particles, targets.dim))
     for step in range(cfg.init.steps):
-        try:
-            g = compute_direction(
-                cfg.direction, theta, targets, cfg.kernel, rate=cfg.init.rate, rng=rng_noise
-            )
-        except NumericError as err:
-            raise NumericError(f"initializer step {step}: {err}", datum=err.datum) from err
+        g = _direction(cfg, theta, targets, cfg.init.rate, rng_noise, f"initializer step {step}: ")
         if g.ndim == 3:
             g = g.mean(axis=0)
         theta = theta + cfg.init.rate * g
@@ -343,27 +352,18 @@ def fit(
             order_it = presort(X_it)
         else:
             rows, X_it, t_it, theta, order_it = None, X_cols, targets, F, order
-        try:
-            g = compute_direction(
-                cfg.direction, theta, t_it, cfg.kernel, rate=cfg.learning_rate, rng=rng_noise
-            )
-        except NumericError as err:
-            raise _name_row(err, rows, f"boosting iteration {m}: ") from err
-        bad = _first_non_finite_row(g)
-        if bad is not None:
-            datum = bad if rows is None else int(rows[bad])
-            raise NumericError(f"boosting iteration {m}: non-finite direction for datum {datum}",
-                               datum=datum)
+        g = _direction(cfg, theta, t_it, cfg.learning_rate, rng_noise, f"boosting iteration {m}: ",
+                       rows)
         trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
         with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
             _add_round(F, trees, X, cfg.learning_rate)
-        bad = _first_non_finite_row(F)
-        if bad is not None:
+        if (bad := _first_non_finite_row(F)) is not None:
             raise NumericError(f"boosting iteration {m}: non-finite particles for datum {bad}",
                                datum=bad)
         for i, tree in enumerate(trees):
             ensembles[i].append(tree)
-        trace.append(float(np.mean(g * g)))
+        with np.errstate(over="ignore"):  # a direction above ~1e154 squares to inf, logged as such
+            trace.append(float(np.mean(g * g)))
         if on_iteration is not None:
             on_iteration(trees)
     return WGBoostModel(

@@ -89,7 +89,7 @@ def _smoothed_gradient(K: np.ndarray, c: np.ndarray, scores: np.ndarray, h: floa
 
     sum_m R[n, m] = (2/h) (c^n rowsum_n K - (K c)^n) for the centred particles c.
     """
-    with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite row
+    with np.errstate(invalid="ignore", over="ignore"):  # boosting._direction names the row
         repulsion = (2.0 / h) * (c * K.sum(axis=-1, keepdims=True) - K @ c)
         return (K @ scores + repulsion) / K.shape[-1]
 
@@ -101,7 +101,7 @@ def _smoothed_curvature(K: np.ndarray, c: np.ndarray, curv: np.ndarray, h: float
     elementwise in the d coordinates, for the centred particles c.
     """
     K2 = K * K
-    with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite row
+    with np.errstate(invalid="ignore", over="ignore"):  # boosting._direction names the row
         c2 = c * c
         repulsion = c2 * K2.sum(axis=-1, keepdims=True) - 2.0 * c * (K2 @ c) + K2 @ c2
         repulsion *= 4.0 / (h * h)
@@ -146,7 +146,8 @@ def diag_newton(
     theta, K, c = _kernel_terms(particles, kernel.scale)
     g = _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
     h = _smoothed_curvature(K, c, target.log_hess_diag(theta), kernel.scale)
-    return g / np.maximum(h, CURVATURE_FLOOR)
+    with np.errstate(invalid="ignore"):  # inf / inf: boosting._direction names the row
+        return g / np.maximum(h, CURVATURE_FLOOR)
 
 
 def full_newton(

@@ -164,7 +164,8 @@ def predictive_nll_categorical(particles: np.ndarray, labels: np.ndarray, k: int
     probs = predictive_class_probs(particles, k)
     labels = np.asarray(labels)
     picked = probs[np.arange(probs.shape[0]), labels - 1]
-    return float(np.mean(-np.log(picked)))
+    with np.errstate(divide="ignore"):  # a true class of probability 0 scores inf
+        return float(np.mean(-np.log(picked)))
 
 
 def ood_score(particles: np.ndarray, k: int) -> np.ndarray:

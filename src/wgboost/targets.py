@@ -108,8 +108,8 @@ class NormalLocationScaleTarget:
         # A log scale below about -709 overflows exp to inf (and gives r = nan
         # where y = m), and a far smaller scale than the residual overflows the
         # products and squares of r and inv_sigma taken from it.  No warning is
-        # needed: the direction built from them is non-finite, which boosting
-        # reports as a NumericError naming the iteration and the datum.
+        # needed: the direction built from them is non-finite, which boosting._direction
+        # reports, in the initializer and in boosting, as a NumericError naming the datum.
         with np.errstate(over="ignore", invalid="ignore"):
             inv_sigma = np.exp(-s)
             r = (self._ycol - m) * inv_sigma  # standardized residual

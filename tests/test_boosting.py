@@ -576,6 +576,31 @@ def test_non_finite_direction_names_the_iteration_and_the_training_row():
     assert target.positions[-1] != 30  # its position inside that subsample
 
 
+@pytest.mark.parametrize("kind", ["first-order", "diag-newton", "langevin"])
+def test_non_finite_initializer_direction_names_the_training_row(kind):
+    X, _, targets, _ = small_regression()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            fit(X, NanScoreTarget(targets, bad=30), quick_cfg(direction=kind))
+    assert str(err.value) == "initializer step 0: non-finite direction for datum 30"
+    assert err.value.datum == 30
+
+
+def test_early_stopping_initializer_error_names_the_training_row():
+    """Row 17 sits at position 12 of the search fit's rows; the error maps it back."""
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+    y[17] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            fit_with_early_stopping(X, NormalLocationScaleTarget(y),
+                                    BoostConfig(init=InitConfig(steps=5)))
+    assert str(err.value) == "initializer step 0: non-finite direction for datum 17"
+    assert err.value.datum == 17
+
+
 class ZeroCurvatureTarget(NanScoreTarget):
     """Targets whose full curvature is zero at row ``bad``: with one particle, full
     Newton's smoothed Hessian there is zero, singular even after its ridge."""

@@ -511,3 +511,52 @@ def test_overflowing_scale_is_a_numeric_error_without_a_warning(tmp_path, capsys
     assert capsys.readouterr().err == (
         "numeric failure: boosting iteration 1: non-finite direction for datum 0\n"
     )
+
+
+def test_overflowing_training_trace_logs_inf_without_a_warning(tmp_path):
+    data = _three_feature_table(tmp_path / "reg.csv", lambda X: np.sin(X[:, 0]))
+    log = tmp_path / "log.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(
+            "train", "--task", "regression", "--data", data, "--label-column", "y",
+            "--direction", "first-order", "--init-steps", 50, "--max-iterations", 20,
+            "--learning-rate", 1000, "--out-log", log, "--out-model", tmp_path / "m.json",
+        ) == 0
+    _, rows = read_rows(log)
+    assert [row[1] for row in rows[1:3]] == ["inf", "inf"]  # direction_sq_mean of rounds 2 and 3
+
+
+_GRID_LABELS = {
+    "regression": lambda X: np.sin(X[:, 0]),
+    "classification": lambda X: np.where(X[:, 0] > 0, "up", np.where(X[:, 1] > 0, "left", "down")),
+}
+
+
+@pytest.mark.parametrize("early_stopping", [False, True], ids=["plain", "early-stopping"])
+@pytest.mark.parametrize("learning_rate", [3, 30, 1000])
+@pytest.mark.parametrize("direction", ["first-order", "diag-newton", "full-newton", "langevin"])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_train_either_succeeds_or_names_the_failing_row_without_a_warning(
+        tmp_path, capsys, task, direction, learning_rate, early_stopping):
+    data = _three_feature_table(tmp_path / "t.csv", _GRID_LABELS[task])
+    model = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            "train", "--task", task, "--data", data, "--label-column", "y",
+            "--direction", direction, "--learning-rate", learning_rate, "--init-steps", 10,
+            "--max-iterations", 8, "--n-particles", 5, "--out-model", model,
+            *(["--early-stopping"] if early_stopping else []),
+        )
+        if code == 0:
+            X = np.loadtxt(data, delimiter=",", skiprows=1, usecols=(0, 1, 2))
+            assert np.isfinite(wgboost.load_model(model).predict(X)).all()
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 4
+        assert err.startswith(("numeric failure: initializer step ",
+                               "numeric failure: boosting iteration "))
+        assert " for datum " in err and err.count("\n") == 1 and err.endswith("\n")

@@ -184,6 +184,14 @@ def test_class_probs_and_prediction():
     assert predictive_nll_categorical(particles, np.array([2]), 2) == pytest.approx(np.log(2.0))
 
 
+def test_zero_probability_of_the_true_class_is_an_infinite_nll_without_a_warning():
+    particles = np.array([[[800.0]], [[0.0]]])  # row 0 gives class 2 probability exactly 0
+    assert predictive_class_probs(particles, 2)[0, 1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predictive_nll_categorical(particles, np.array([2, 1]), 2) == np.inf
+
+
 def test_class_probs_sum_to_one():
     rng = np.random.default_rng(3)
     particles = rng.normal(size=(10, 5, 3))
