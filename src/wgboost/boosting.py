@@ -39,8 +39,9 @@ from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTar
 from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, presort, route,
                    trees_from_dicts)
 
-#: Most (row, tree) pairs one ``route`` call of staged prediction holds; bounds
-#: the memory of a block of rounds while keeping the per-call overhead small.
+#: Most (row, tree) pairs one ``route`` call of prediction holds: it bounds
+#: the rounds-major (B, T, N, d) block of leaf values that ``predict`` sums
+#: in one call, while keeping the per-call overhead small.
 _ROUTE_PAIRS = 1 << 16
 
 
@@ -190,43 +191,61 @@ class WGBoostModel:
     def predict(self, X: np.ndarray, num_trees: int | None = None) -> np.ndarray:
         """Particle outputs for rows of X: (T, p) -> (T, N, d), (p,) -> (N, d).
 
-        ``num_trees`` truncates the ensembles, reproducing the staged values
-        seen during fitting exactly.
+        ``num_trees`` truncates the ensembles.  Each block of rounds is summed
+        in one call, in round order, so the result is the last stage of
+        :meth:`staged_predict` bit for bit.
         """
-        *_, out = self.staged_predict(X, num_trees)
-        return out
+        blocks = self._blocks(X, num_trees)
+        F = next(blocks)
+        for V in blocks:
+            V[0] += F
+            # reduce adds the rounds one after another, unless a round is a
+            # single number: it then sums them pairwise, and accumulate does not
+            F = np.add.reduce(V, axis=0) if V[0].size > 1 else np.add.accumulate(V, axis=0)[-1]
+        return F[0] if np.ndim(X) == 1 else F
 
     def staged_predict(self, X: np.ndarray, num_trees: int | None = None) -> Iterator[np.ndarray]:
         """Yield the particle outputs after 0, 1, ..., ``num_trees`` rounds.
 
-        Every stage is the same array, advanced in place; copy a stage to keep
-        it.  The stages match the training cache bit for bit.
+        Every stage is the same array, advanced in place one round at a time;
+        copy a stage to keep it.  The stages match the training cache bit for
+        bit.
         """
+        blocks = self._blocks(X, num_trees)
+        F = next(blocks)
+        out = F[0] if np.ndim(X) == 1 else F
+        yield out
+        for V in blocks:
+            for b in range(V.shape[0]):
+                F += V[b]
+                yield out
+
+    def _blocks(self, X: np.ndarray, num_trees: int | None) -> Iterator[np.ndarray]:
+        """Check X; yield the initial particles (T, N, d) of its rows, then the
+        learning_rate times leaf values of the first ``num_trees`` rounds, a
+        block of rounds at a time, rounds-major: (B, T, N, d) arrays."""
         X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        Xb = X[None, :] if single else X
+        Xb = X[None, :] if X.ndim == 1 else X
         if Xb.ndim != 2 or Xb.shape[1] != self.n_features:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
         if num_trees is not None and num_trees < 0:
             raise ValueError(f"num_trees must be >= 0, got {num_trees}")
-        F = np.broadcast_to(self.init_particles, (Xb.shape[0], *self.init_particles.shape)).copy()
-        out = F[0] if single else F
-        yield out
+        n = len(self.ensembles)
+        yield np.broadcast_to(self.init_particles, (Xb.shape[0], *self.init_particles.shape)).copy()
         stop = self.n_iterations if num_trees is None else min(num_trees, self.n_iterations)
-        roots = self._packed.roots.reshape(len(self.ensembles), self.n_iterations).T  # (M, N)
-        block = max(1, _ROUTE_PAIRS // max(1, F.shape[0] * F.shape[1]))
+        roots = self._packed.roots.reshape(n, self.n_iterations).T  # (M, N)
+        block = max(1, _ROUTE_PAIRS // max(1, Xb.shape[0] * n))
         for start in range(0, stop, block):
-            V = route(self._packed, Xb, roots[start:min(start + block, stop)])  # (T, B, N, d)
+            node = route(self._packed, Xb, roots[start:min(start + block, stop)])  # (T, B, N)
+            V = np.take(self._packed.value, node.transpose(1, 0, 2), axis=0)
             V *= self.config.learning_rate  # the products lr * value that _add_round adds
-            for b in range(V.shape[1]):
-                F += V[:, b]
-                yield out
+            yield V
 
 
 def _add_round(F: np.ndarray, trees: list[RegressionTree], X: np.ndarray, lr: float) -> None:
     """Advance the particles F (T, N, d) of rows X by one round: tree i moves particle i."""
     packed = pack_trees(trees)
-    F += lr * route(packed, X, packed.roots)
+    F += lr * np.take(packed.value, route(packed, X, packed.roots), axis=0)
 
 
 def _first_non_finite_row(a: np.ndarray) -> int | None:

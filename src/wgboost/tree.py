@@ -53,7 +53,9 @@ class PackedTrees(NamedTuple):
 
     Every tree keeps its own encoding: feature -1 marks a leaf, children are
     indices relative to the tree's root, and a leaf is its own left and right
-    child, so routing that steps past a leaf stays there.
+    child, so routing that steps past a leaf stays there.  ``depth`` bounds
+    the splits on any path from a root to a leaf (0 when every tree is a lone
+    leaf): :func:`route` takes exactly that many steps.
     """
 
     feature: np.ndarray  # (n_nodes,) int32
@@ -62,6 +64,7 @@ class PackedTrees(NamedTuple):
     right: np.ndarray  # (n_nodes,) int32
     value: np.ndarray  # (n_nodes, d) float
     roots: np.ndarray  # (n_trees,) int32: each tree's root node
+    depth: int  # the most splits on a path from a root to a leaf
 
 
 _COLUMNS = ("feature", "threshold", "left", "right", "value")
@@ -85,11 +88,11 @@ class RegressionTree:
 
     def __init__(self, feature, threshold, left, right, value, n_features: int):
         feature = np.asarray(feature, dtype=np.int32)
-        self._nodes = PackedTrees(
-            feature, np.asarray(threshold, dtype=float), np.asarray(left, dtype=np.int32),
-            np.asarray(right, dtype=np.int32), np.asarray(value, dtype=float),
-            np.zeros(1, dtype=np.int32),
-        )
+        left, right = np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32)
+        roots = np.zeros(1, dtype=np.int32)
+        self._nodes = PackedTrees(feature, np.asarray(threshold, dtype=float), left, right,
+                                  np.asarray(value, dtype=float), roots,
+                                  len(_levels(feature, left, right, roots)) - 1)
         self._start = 0
         self.n_nodes = feature.shape[0]
         self.n_features = int(n_features)
@@ -111,7 +114,7 @@ class RegressionTree:
         Xb = X[None, :] if single else X
         if Xb.ndim != 2 or Xb.shape[1] != self.n_features:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
-        out = route(self._nodes, Xb, self._start)
+        out = np.take(self._nodes.value, route(self._nodes, Xb, self._start), axis=0)
         return out[0] if single else out
 
     def to_dict(self) -> dict:
@@ -191,9 +194,11 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
                         f"entries")
     roots = np.zeros(len(shapes), dtype=np.int32)
     np.cumsum([n for n, _ in shapes[:-1]], out=roots[1:])
+    feature, left, right = (np.array(a, dtype=np.int32) for a in (feature, left, right))
     packed = PackedTrees(
-        np.array(feature, dtype=np.int32), np.array(threshold), np.array(left, dtype=np.int32),
-        np.array(right, dtype=np.int32), values.astype(float, copy=False).reshape(-1, dim), roots,
+        feature, np.array(threshold), left, right,
+        values.astype(float, copy=False).reshape(-1, dim), roots,
+        len(_levels(feature, left, right, roots)) - 1,
     )
     return [RegressionTree._slice(packed, a, n, int(n_features))
             for a, (n, n_features) in zip(roots.tolist(), shapes)]
@@ -207,7 +212,7 @@ def pack_trees(trees: Sequence[RegressionTree]) -> PackedTrees:
     """
     if not trees:
         empty = np.zeros(0, dtype=np.int32)
-        return PackedTrees(empty, np.zeros(0), empty, empty, np.zeros((0, 0)), empty)
+        return PackedTrees(empty, np.zeros(0), empty, empty, np.zeros((0, 0)), empty, 0)
     roots = np.zeros(len(trees), dtype=np.int32)
     np.cumsum([tree.n_nodes for tree in trees[:-1]], out=roots[1:])
     starts = roots.tolist()
@@ -216,19 +221,55 @@ def pack_trees(trees: Sequence[RegressionTree]) -> PackedTrees:
             and all(t._nodes is nodes and t._start == a for t, a in zip(trees, starts))):
         return nodes
     packed = PackedTrees(
-        *(np.concatenate([getattr(tree, name) for tree in trees]) for name in _COLUMNS), roots
+        *(np.concatenate([getattr(tree, name) for tree in trees]) for name in _COLUMNS), roots,
+        max(tree._nodes.depth for tree in trees),
     )
     for tree, a in zip(trees, starts):
         tree._nodes, tree._start = packed, a
     return packed
 
 
-def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
-    """Leaf values of every (row, tree) pair: X (T, p), roots (*s) -> (T, *s, d).
+def _levels(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+            roots: np.ndarray) -> list[np.ndarray]:
+    """The node ids of packed trees, level by level; the set's depth is one less than their count.
 
-    All pairs step down together until each sits at a leaf.  Rows with value
-    <= threshold go left; NaN goes right.  Routing ends because every child
-    comes after its parent (``trees_from_dicts`` checks this for loaded trees).
+    A node's level is the most splits on a path to it from a node that no
+    split points to (a root, or a node nothing reaches).  Each node is placed
+    once, when the last split pointing to it has been placed (Kahn's
+    topological order, a level at a time): a loaded tree may send two splits
+    to one child, and a frontier that followed every edge would then double
+    with every level.  Children must come after their parents.
+    """
+    n = feature.shape[0]
+    base = np.repeat(roots, np.diff(roots, append=n))  # each node's root
+    split = feature >= 0
+    left, right = left + base, right + base  # node ids in the packed set
+    # the splits pointing to each node that are not placed yet
+    pending = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+    seen = np.empty(n, dtype=np.intp)
+    out = []
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        out.append(level)
+        parents = level[split[level]]
+        level = np.concatenate([left[parents], right[parents]])
+        np.subtract.at(pending, level, 1)
+        level = level[pending[level] == 0]  # a child of two of these splits comes twice
+        # keep one position of each node: the last write to ``seen`` wins.
+        # (np.unique would sort, and raised the serve workload's peak RSS by 2%)
+        at = np.arange(level.size)
+        seen[level] = at
+        level = level[seen[level] == at]
+    return out
+
+
+def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
+    """The leaf of every (row, tree) pair: X (T, p), roots (*s) -> node ids (T, *s).
+
+    Every pair steps down ``packed.depth`` times, with no test for the end: a
+    pair that reaches a leaf early stays there, as a leaf is its own child.
+    Rows with value <= threshold go left; NaN goes right.  Callers gather
+    the leaf values (``packed.value``) in the layout they need.
     """
     roots = np.asarray(roots)
     rel = np.zeros((X.shape[0], *roots.shape), dtype=np.int32)  # each pair's node, from its root
@@ -238,14 +279,12 @@ def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
     offset = np.arange(X.shape[0], dtype=np.int32 if X.size < 2**31 else np.intp) * X.shape[1]
     base = offset.reshape(-1, *(1,) * roots.ndim)
     flat = np.ascontiguousarray(X).ravel()
-    while True:
+    for _ in range(packed.depth):
         node = roots + rel
-        left = np.take(packed.left, node)
-        if np.array_equal(left, rel):
-            return np.take(packed.value, node, axis=0)
         x = np.take(flat, base + np.take(packed.feature, node))
         go_left = x <= np.take(packed.threshold, node)
-        rel = np.where(go_left, left, np.take(packed.right, node))
+        rel = np.where(go_left, np.take(packed.left, node), np.take(packed.right, node))
+    return roots + rel
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -293,6 +332,7 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     left: list[int] = []
     right: list[int] = []
     value: list[np.ndarray] = []
+    deepest = 0
 
     def build(rows: np.ndarray, order: np.ndarray, xs: np.ndarray, keep: np.ndarray | None,
               depth: int) -> int:
@@ -303,6 +343,8 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
         (all of ``order`` and ``xs`` when ``keep`` is None), taken only if the
         node can split.
         """
+        nonlocal deepest
+        deepest = max(deepest, depth)
         node = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
@@ -333,7 +375,10 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     # mean whose sum overflows is inf, which the boosting loop reports
     with np.errstate(over="ignore", invalid="ignore"):
         build(np.arange(X.shape[0]), order, np.take_along_axis(XT, order, axis=1), None, 0)
-    return RegressionTree(feature, threshold, left, right, np.array(value), X.shape[1])
+    nodes = PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
+                        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+                        np.array(value), np.zeros(1, dtype=np.int32), deepest)
+    return RegressionTree._slice(nodes, 0, len(feature), X.shape[1])
 
 
 def _squared_norms(a: np.ndarray) -> np.ndarray:

@@ -744,6 +744,77 @@ def test_packed_prediction_matches_a_walk_of_every_tree(case):
     assert np.array_equal(tree.predict(rows), tree.value[_leaves(tree, rows)])
 
 
+@pytest.mark.parametrize("n_particles", [1, 2])
+def test_predict_sums_rounds_in_order_where_numpy_would_pair(n_particles):
+    # With one row, one particle and d = 1, a block of rounds is one
+    # contiguous run of numbers, which np.add.reduce sums pairwise.
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(80, 2))
+    labels = 1 + (X[:, 0] + 0.5 * rng.normal(size=80) > 0)
+    cfg = BoostConfig(n_particles=n_particles, max_iterations=300, learning_rate=0.4,
+                      tree=TreeParams(max_depth=2), init=InitConfig(steps=20), seed=3)
+    model = fit(X, make_classification_targets(labels, 2), cfg)
+    assert model.init_particles.shape == (n_particles, 1)
+    for x in rng.normal(size=(20, 2)):
+        stages = [F.copy() for F in model.staged_predict(x)]
+        for m in (1, 7, 8, 129, 299, 300):
+            assert np.array_equal(model.predict(x, num_trees=m), stages[m])
+        assert np.array_equal(model.predict(x), stages[-1])  # predict is the last stage
+
+
+def _tree_depth(tree, node=0):
+    """The most splits on a path from ``node`` of ``tree`` to a leaf, by recursion."""
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_tree_depth(tree, tree.left[node]), _tree_depth(tree, tree.right[node]))
+
+
+@pytest.mark.parametrize("max_depth", range(5))
+def test_packed_depth_is_the_deepest_tree(tmp_path, max_depth):
+    X, _, targets, _ = small_regression(n=60)
+    model = fit(X, targets, quick_cfg(tree=TreeParams(max_depth=max_depth)))
+    deepest = max(_tree_depth(tree) for trees in model.ensembles for tree in trees)
+    assert deepest == max_depth  # 60 rows are enough to reach it
+    assert model._packed.depth == deepest
+    save_model(model, tmp_path / "m.json")
+    assert load_model(tmp_path / "m.json")._packed.depth == deepest
+
+
+def _split(j, thr, lo, hi):
+    return {"feature": j, "threshold": thr, "left": lo, "right": hi}
+
+
+@pytest.mark.parametrize("case", ["ladder", "shortcut"])
+def test_trees_that_share_children_load_once_and_route_to_the_end(tmp_path, case):
+    """A loaded tree may send two splits to one child.  A ladder sends both
+    children of each of 60 splits to the next node; a shortcut reaches a
+    node by paths of two lengths, and routing must take the longer."""
+    from wgboost.tree import _levels
+
+    if case == "ladder":
+        nodes = [_split(i % 2, 0.1 * (i % 7) - 0.3, i + 1, i + 1) for i in range(60)]
+        depth = 61
+    else:
+        nodes = [_split(0, 0.0, 1, 2), _split(1, 0.5, 2, 2)]
+        depth = 3
+    n = len(nodes)
+    nodes += [_split(1, 0.25, n + 1, n + 2), {"value": [1.0, -2.0]}, {"value": [-3.0, 0.5]}]
+    doc = json.loads(V1_MODEL.read_text())
+    doc["ensembles"][1][2]["nodes"] = nodes
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    packed = model._packed
+    assert packed.depth == depth
+    levels = _levels(packed.feature, packed.left, packed.right, packed.roots)
+    assert len(levels) == depth + 1
+    assert np.array_equal(np.sort(np.concatenate(levels)), np.arange(len(packed.feature)))
+    rows = np.random.default_rng(5).normal(size=(200, 2))
+    want = _walk_stages(model, rows)
+    assert all(np.array_equal(a, b) for a, b in zip(model.staged_predict(rows), want))
+    assert np.array_equal(model.predict(rows), want[-1])
+
+
 @pytest.mark.parametrize(
     "mutate, match",
     [

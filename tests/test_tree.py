@@ -8,7 +8,8 @@ import wgboost.boosting
 from wgboost.boosting import (BoostConfig, InitConfig, fit, make_classification_targets,
                               make_regression_targets, save_model)
 from wgboost.errors import DataError
-from wgboost.tree import RegressionTree, TreeParams, _squared_norms, fit_tree, presort
+from wgboost.tree import (RegressionTree, TreeParams, _squared_norms, fit_tree, pack_trees,
+                          presort)
 
 
 def brute_force_best_sse(X, Y, min_leaf=1):
@@ -154,6 +155,21 @@ def test_fit_is_deterministic():
     t1 = fit_tree(X, Y)
     t2 = fit_tree(X, Y)
     assert t1.to_dict() == t2.to_dict()
+
+
+def test_packed_depth_counts_the_deepest_tree():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(80, 3))
+    Y = rng.normal(size=(80, 2))
+    trees = [fit_tree(X, Y, TreeParams(max_depth=depth)) for depth in (2, 0, 4, 1)]
+    assert [tree._nodes.depth for tree in trees] == [2, 0, 4, 1]
+    assert pack_trees(trees[:2]).depth == 2
+    assert pack_trees(trees).depth == 4
+    hand = RegressionTree(*(getattr(trees[2], name) for name in
+                            ("feature", "threshold", "left", "right", "value")), 3)
+    assert hand._nodes.depth == 4  # counted from the nodes
+    probe = rng.normal(size=(50, 3))
+    assert np.array_equal(hand.predict(probe), trees[2].predict(probe))
 
 
 def test_serialization_round_trip():
