@@ -8,9 +8,9 @@ learning_rate times the tree predictions.  The features are sorted once per
 fit (``tree.presort``; once per round under row subsampling), and every tree
 reads its split candidates from that order.
 
-A model packs all its trees into one set of node arrays when it is built
-(``tree.pack_trees``).  Prediction replays the cache update from them: it
-routes every row through the trees of a block of rounds at once
+A model is one table of node arrays (``tree.PackedTrees``), roots[m, i] the
+tree of round m for particle i.  Prediction replays the cache update from it:
+it routes every row through the trees of a block of rounds at once
 (``tree.route``), then adds each round's learning_rate times leaf values in
 round order, so staged predictions agree with the cache bit for bit.
 
@@ -37,7 +37,7 @@ from .evaluate import STD_FLOOR, Standardization, predictive_nll_categorical, pr
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
 from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, presort, route,
-                   trees_from_dicts)
+                   trees_from_dicts, trees_to_dicts, unpack_trees)
 
 #: Most (row, tree) pairs one ``route`` call of prediction holds: it bounds
 #: the rounds-major (B, T, N, d) block of leaf values that ``predict`` sums
@@ -172,21 +172,22 @@ class WGBoostModel:
     config: BoostConfig
     target_family: str
     init_particles: np.ndarray  # (N, d)
-    ensembles: list[list[RegressionTree]]
+    trees: PackedTrees  # roots (M, N): the tree of round m for particle i is roots[m, i]
     n_features: int
     num_classes: int | None = None
     standardization: Standardization | None = None
     label_values: list | None = None
     train_trace: list[float] = field(default_factory=list, repr=False, compare=False)
-    _packed: PackedTrees = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # From here on the trees read their nodes from the packed set.
-        self._packed = pack_trees([tree for ensemble in self.ensembles for tree in ensemble])
 
     @property
     def n_iterations(self) -> int:
-        return len(self.ensembles[0]) if self.ensembles else 0
+        return self.trees.roots.shape[0]
+
+    @property
+    def ensembles(self) -> list[list[RegressionTree]]:
+        """Each particle's M trees, as views of the table built anew on each call."""
+        trees, n = unpack_trees(self.trees, self.n_features), self.trees.roots.shape[1]
+        return [trees[i::n] for i in range(n)]
 
     def predict(self, X: np.ndarray, num_trees: int | None = None) -> np.ndarray:
         """Particle outputs for rows of X: (T, p) -> (T, N, d), (p,) -> (N, d).
@@ -230,22 +231,15 @@ class WGBoostModel:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
         if num_trees is not None and num_trees < 0:
             raise ValueError(f"num_trees must be >= 0, got {num_trees}")
-        n = len(self.ensembles)
+        trees, n = self.trees, self.trees.roots.shape[1]
         yield np.broadcast_to(self.init_particles, (Xb.shape[0], *self.init_particles.shape)).copy()
         stop = self.n_iterations if num_trees is None else min(num_trees, self.n_iterations)
-        roots = self._packed.roots.reshape(n, self.n_iterations).T  # (M, N)
         block = max(1, _ROUTE_PAIRS // max(1, Xb.shape[0] * n))
         for start in range(0, stop, block):
-            node = route(self._packed, Xb, roots[start:min(start + block, stop)])  # (T, B, N)
-            V = np.take(self._packed.value, node.transpose(1, 0, 2), axis=0)
-            V *= self.config.learning_rate  # the products lr * value that _add_round adds
+            node = route(trees, Xb, trees.roots[start:min(start + block, stop)])  # (T, B, N)
+            V = np.take(trees.value, node.transpose(1, 0, 2), axis=0)
+            V *= self.config.learning_rate  # the products lr * value that fit adds
             yield V
-
-
-def _add_round(F: np.ndarray, trees: list[RegressionTree], X: np.ndarray, lr: float) -> None:
-    """Advance the particles F (T, N, d) of rows X by one round: tree i moves particle i."""
-    packed = pack_trees(trees)
-    F += lr * np.take(packed.value, route(packed, X, packed.roots), axis=0)
 
 
 def _first_non_finite_row(a: np.ndarray) -> int | None:
@@ -356,7 +350,7 @@ def fit(
     n_data = X.shape[0]
     n, d = init.shape
     F = np.broadcast_to(init, (n_data, n, d)).copy()
-    ensembles: list[list[RegressionTree]] = [[] for _ in range(n)]
+    rounds: list[PackedTrees] = []
     trace: list[float] = []
     n_sub = math.ceil(cfg.subsample_fraction * n_data)
     # Column-major features, so that every tree reads X.T without a copy (a
@@ -374,22 +368,22 @@ def fit(
         g = _direction(cfg, theta, t_it, cfg.learning_rate, rng_noise, f"boosting iteration {m}: ",
                        rows)
         trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
+        rounds.append(packed := pack_trees([tree.nodes for tree in trees]))
         with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
-            _add_round(F, trees, X, cfg.learning_rate)
+            F += cfg.learning_rate * np.take(packed.value, route(packed, X, packed.roots), axis=0)
         if (bad := _first_non_finite_row(F)) is not None:
             raise NumericError(f"boosting iteration {m}: non-finite particles for datum {bad}",
                                datum=bad)
-        for i, tree in enumerate(trees):
-            ensembles[i].append(tree)
         with np.errstate(over="ignore"):  # a direction above ~1e154 squares to inf, logged as such
             trace.append(float(np.mean(g * g)))
         if on_iteration is not None:
             on_iteration(trees)
+    table = pack_trees(rounds)
     return WGBoostModel(
         config=cfg,
         target_family=targets.family,
         init_particles=init,
-        ensembles=ensembles,
+        trees=table._replace(roots=table.roots.reshape(len(rounds), n)),
         n_features=X.shape[1],
         num_classes=getattr(targets, "k", None),
         standardization=standardization,
@@ -491,6 +485,7 @@ def _model_field(doc: dict, key: str, kind: type, nullable: bool = False):
 
 def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
     """Serialize to JSON, writing a temp file first so failures leave no stub."""
+    trees, n = trees_to_dicts(model.trees, model.n_features), model.trees.roots.shape[1]
     doc = {
         "format_version": FORMAT_VERSION,
         "target_family": model.target_family,
@@ -501,7 +496,7 @@ def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
         "n_features": model.n_features,
         "config": _config_to_dict(model.config),
         "init_particles": model.init_particles.tolist(),
-        "ensembles": [[tree.to_dict() for tree in trees] for trees in model.ensembles],
+        "ensembles": [trees[i::n] for i in range(n)],
     }
     # json.dumps runs the C encoder (json.dump to a file does not); a value
     # that is not JSON fails here, before the file is touched
@@ -539,11 +534,12 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     init = np.array(_model_field(doc, "init_particles", list), dtype=object)
     ensembles_doc = _model_field(doc, "ensembles", list)
     n = cfg.n_particles
-    if (init.ndim != 2 or init.shape[0] != n
+    if (init.ndim != 2 or init.shape[0] != n or init.shape[1] == 0
             or not all(type(v) is float or type(v) is int for v in init.flat)):
-        raise DataError(f"model init_particles must be {n} lists of numbers of one length, "
-                        f"got an array of shape {init.shape}")
+        raise DataError(f"model init_particles must be {n} lists of numbers of one length, at "
+                        f"least 1, got an array of shape {init.shape}")
     init = init.astype(float)
+    d = init.shape[1]
     if not all(type(trees) is list for trees in ensembles_doc):
         raise DataError("model key 'ensembles' must be a list of lists of trees")
     lengths = [len(trees) for trees in ensembles_doc]
@@ -552,17 +548,21 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
                         f"one length")
     if not np.all(np.isfinite(init)):
         raise DataError("model init particles contain non-finite values")
-    trees = iter(trees_from_dicts([t for trees in ensembles_doc for t in trees]))
-    ensembles = [[next(trees) for _ in range(m)] for m in lengths]
-    shapes = {(tree.n_features, tree.n_outputs) for trees in ensembles for tree in trees}
-    if shapes - {(n_features, init.shape[1])}:
-        raise DataError(f"trees map (features, outputs) {sorted(shapes)}, expected "
-                        f"{(n_features, init.shape[1])} as the model does")
+    # rounds-major, as fit packs them: tree m * n + i is round m of particle i
+    trees, tree_features = trees_from_dicts([t for trees in zip(*ensembles_doc) for t in trees])
+    if np.any(tree_features != n_features) or len(trees.value) and trees.value.shape[1] != d:
+        raise DataError(f"trees map {sorted(set(tree_features.tolist()))} features to "
+                        f"{trees.value.shape[1]} outputs; the model maps {n_features} to {d}")
+    if not np.all(np.isfinite(trees.value)):
+        raise DataError("model trees have non-finite leaf values")
     family = _model_field(doc, "target_family", str)
     k = _model_field(doc, "k", int, nullable=True)
-    if family == "categorical" and k != init.shape[1] + 1:
-        raise DataError(f"a categorical model over {init.shape[1]} log-ratio coordinates needs "
-                        f"k = {init.shape[1] + 1}, got {k!r}")
+    if family == "categorical" and k != d + 1:
+        raise DataError(f"a categorical model over {d} log-ratio coordinates needs k = {d + 1}, "
+                        f"got {k!r}")
+    if family == "normal" and d != 2:
+        raise DataError(f"a normal model needs particles of 2 coordinates (location and log "
+                        f"scale), got {d}")
     labels = _model_field(doc, "label_values", list, nullable=True)
     if labels is not None and not (
         all(type(v) in (str, int, float) for v in labels) and len(set(labels)) == len(labels)
@@ -570,19 +570,16 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     ):
         raise DataError(f"model label_values must be distinct strings or numbers, one per class; "
                         f"got {labels!r}")
-    model = WGBoostModel(
+    return WGBoostModel(
         config=cfg,
         target_family=family,
         init_particles=init,
-        ensembles=ensembles,
+        trees=trees._replace(roots=trees.roots.reshape(lengths[0], n)),
         n_features=n_features,
         num_classes=k,
         standardization=std,
         label_values=labels,
     )
-    if not np.all(np.isfinite(model._packed.value)):
-        raise DataError("model trees have non-finite leaf values")
-    return model
 
 
 def make_regression_targets(y: np.ndarray) -> tuple[NormalLocationScaleTarget, Standardization]:

@@ -4,6 +4,11 @@ k(a, b) = exp(-||a - b||^2 / h) with a single positive bandwidth h.  The
 boosting directions default to h = 0.1; the MMD diagnostic uses h = 0.025.
 Both are configurable.  ``gram`` gives the kernel matrix of two point sets,
 which the kernel-smoothed direction estimators and the MMD read.
+
+``gaussian``, ``kernel_eval`` and ``kernel_grad`` are public API for the
+kernel at single pairs: nothing in the package calls them but each other,
+``wgboost`` exports ``kernel_eval`` and ``kernel_grad``, and the tests take
+them as the reference that ``gram`` must match bit for bit.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -49,13 +50,15 @@ class TreeParams:
 
 
 class PackedTrees(NamedTuple):
-    """The node arrays of one or more trees, concatenated.
+    """The node arrays of one or more trees, concatenated in the order of ``roots.ravel()``.
 
-    Every tree keeps its own encoding: feature -1 marks a leaf, children are
-    indices relative to the tree's root, and a leaf is its own left and right
-    child, so routing that steps past a leaf stays there.  ``depth`` bounds
-    the splits on any path from a root to a leaf (0 when every tree is a lone
-    leaf): :func:`route` takes exactly that many steps.
+    ``roots`` may have any shape, such as a model's (M, N): round m's tree for
+    particle i is ``roots[m, i]``.  Every tree keeps its own encoding:
+    feature -1 marks a leaf, children are indices relative to the tree's
+    root, and a leaf is its own left and right child, so routing that steps
+    past a leaf stays there.  ``depth`` bounds the splits on any path from a
+    root to a leaf (0 when every tree is a lone leaf): :func:`route` takes
+    exactly that many steps.
     """
 
     feature: np.ndarray  # (n_nodes,) int32
@@ -63,49 +66,43 @@ class PackedTrees(NamedTuple):
     left: np.ndarray  # (n_nodes,) int32
     right: np.ndarray  # (n_nodes,) int32
     value: np.ndarray  # (n_nodes, d) float
-    roots: np.ndarray  # (n_trees,) int32: each tree's root node
+    roots: np.ndarray  # int32, any shape: each tree's root node
     depth: int  # the most splits on a path from a root to a leaf
 
 
 _COLUMNS = ("feature", "threshold", "left", "right", "value")
 
 
-def _column(name: str) -> property:
-    return property(lambda self: getattr(self._nodes, name)[self._start:self._start + self.n_nodes],
-                    doc=f"The tree's {name} node array, a view of its slice of the packed nodes.")
+def _ranges(packed: PackedTrees) -> list[tuple[int, int]]:
+    """Each tree's first node and one past its last, in node order."""
+    bounds = np.append(packed.roots, packed.feature.shape[0]).tolist()
+    return list(zip(bounds, bounds[1:]))
 
 
 class RegressionTree:
-    """Fitted tree: a slice of a :class:`PackedTrees` (see its node encoding).
+    """Fitted tree: a one-tree :class:`PackedTrees` (``nodes``, see its node
+    encoding) and the number of features its splits index."""
 
-    A new tree holds its own nodes; :func:`pack_trees` moves trees into one
-    shared set, so that a model stores every node once.
-    """
+    __slots__ = ("nodes", "n_features")
 
-    __slots__ = ("_nodes", "_start", "n_nodes", "n_features")
-
-    feature, threshold, left, right, value = map(_column, _COLUMNS)
+    feature, threshold, left, right, value = (property(attrgetter(f"nodes.{name}"))
+                                              for name in _COLUMNS)
+    n_nodes = property(lambda self: self.nodes.feature.shape[0])
 
     def __init__(self, feature, threshold, left, right, value, n_features: int):
-        feature = np.asarray(feature, dtype=np.int32)
-        left, right = np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32)
+        feature, left, right = (np.asarray(a, dtype=np.int32) for a in (feature, left, right))
         roots = np.zeros(1, dtype=np.int32)
-        self._nodes = PackedTrees(feature, np.asarray(threshold, dtype=float), left, right,
-                                  np.asarray(value, dtype=float), roots,
-                                  len(_levels(feature, left, right, roots)) - 1)
-        self._start = 0
-        self.n_nodes = feature.shape[0]
+        self.nodes = PackedTrees(feature, np.asarray(threshold, dtype=float), left, right,
+                                 np.asarray(value, dtype=float), roots,
+                                 len(_levels(feature, left, right, roots)) - 1)
         self.n_features = int(n_features)
 
     @classmethod
-    def _slice(cls, nodes: PackedTrees, start: int, n_nodes: int, n_features: int):
+    def _of(cls, nodes: PackedTrees, n_features: int) -> "RegressionTree":
+        """The tree of ``nodes``, a one-tree set, taken as it is (no copy, no depth count)."""
         tree = cls.__new__(cls)
-        tree._nodes, tree._start, tree.n_nodes, tree.n_features = nodes, start, n_nodes, n_features
+        tree.nodes, tree.n_features = nodes, n_features
         return tree
-
-    @property
-    def n_outputs(self) -> int:
-        return self._nodes.value.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route rows to leaves.  (p,) -> (d,); (T, p) -> (T, d)."""
@@ -114,23 +111,42 @@ class RegressionTree:
         Xb = X[None, :] if single else X
         if Xb.ndim != 2 or Xb.shape[1] != self.n_features:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
-        out = np.take(self._nodes.value, route(self._nodes, Xb, self._start), axis=0)
+        out = np.take(self.nodes.value, route(self.nodes, Xb, 0), axis=0)
         return out[0] if single else out
 
     def to_dict(self) -> dict:
-        columns = (getattr(self, name).tolist() for name in _COLUMNS)
-        nodes = [{"value": v} if j < 0 else {"feature": j, "threshold": t, "left": lo, "right": hi}
-                 for j, t, lo, hi, v in zip(*columns)]
-        return {"n_features": self.n_features, "nodes": nodes}
+        return trees_to_dicts(self.nodes, self.n_features)[0]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RegressionTree":
         """Rebuild a tree from :meth:`to_dict` output (see :func:`trees_from_dicts`)."""
-        return trees_from_dicts([doc])[0]
+        nodes, n_features = trees_from_dicts([doc])
+        return cls._of(nodes, int(n_features[0]))
 
 
-def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
-    """Rebuild trees from :meth:`RegressionTree.to_dict` output, packed in order.
+def unpack_trees(packed: PackedTrees, n_features: int) -> list[RegressionTree]:
+    """The trees of ``packed`` in node order, as views of its nodes routed for its depth."""
+    root = np.zeros(1, dtype=np.int32)
+    return [RegressionTree._of(PackedTrees(*(getattr(packed, name)[a:b] for name in _COLUMNS),
+                                           root, packed.depth), n_features)
+            for a, b in _ranges(packed)]
+
+
+def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
+    """The :meth:`RegressionTree.to_dict` of every tree of ``packed``, in node order.
+
+    A tree at a time: whole columns' objects at once raised serve's peak RSS by 1.1 MB."""
+    columns = [getattr(packed, name) for name in _COLUMNS]
+    docs = []
+    for a, b in _ranges(packed):
+        nodes = [{"value": v} if j < 0 else {"feature": j, "threshold": t, "left": lo, "right": hi}
+                 for j, t, lo, hi, v in zip(*(column[a:b].tolist() for column in columns))]
+        docs.append({"n_features": n_features, "nodes": nodes})
+    return docs
+
+
+def trees_from_dicts(docs: Sequence[dict]) -> tuple[PackedTrees, np.ndarray]:
+    """Pack trees from :meth:`RegressionTree.to_dict` output, in order, and each one's n_features.
 
     Raises DataError unless every tree is an object with a list of node
     objects and an integer ``n_features``, every tree has leaves, all with
@@ -138,6 +154,8 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
     a float threshold (not NaN), an integer feature in [0, n_features) and
     integer children after it, so that routing always ends at a leaf.
     """
+    if not docs:
+        return pack_trees([]), np.zeros(0, dtype=int)
     # one flat list per node array: tuples per node would be tracked by the
     # garbage collector, whose passes over the caller's parsed JSON dominate
     feature: list[int] = []
@@ -145,7 +163,8 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []  # value rows, flattened; zeros at splits
-    shapes: list[tuple[int, int]] = []  # (n_nodes, n_features) of every tree
+    roots: list[int] = []
+    features: list[int] = []  # n_features of every tree
     dim = None
     for t, doc in enumerate(docs):
         try:
@@ -154,6 +173,8 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
                 raise DataError(f"tree {t} needs a list of 'nodes' and an integer 'n_features', "
                                 f"got {type(nodes).__name__} and {n_features!r}")
             n = len(nodes)
+            roots.append(len(feature))
+            features.append(n_features)
             dims = {len(nd["value"]) for nd in nodes if "value" in nd}
             if len(dims) != 1 or dims != {dim} and dim is not None:
                 raise DataError(f"trees need leaves with values of one length, got lengths "
@@ -182,9 +203,6 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
             raise DataError(f"tree {t} or one of its nodes lacks the key {err.args[0]!r}") from None
         except TypeError as err:  # a tree or node that is not an object, a value without a length
             raise DataError(f"tree {t} is malformed: {err}") from None
-        shapes.append((n, n_features))
-    if not shapes:
-        return []
     try:
         values = np.array(value)  # no dtype: strings or nulls must not convert
     except ValueError as err:  # nested lists of uneven shape
@@ -192,41 +210,27 @@ def trees_from_dicts(docs: Sequence[dict]) -> list[RegressionTree]:
     if values.dtype.kind not in "fi" or values.ndim != 1:
         raise DataError(f"tree leaf 'value' entries must be lists of numbers, got {values.dtype} "
                         f"entries")
-    roots = np.zeros(len(shapes), dtype=np.int32)
-    np.cumsum([n for n, _ in shapes[:-1]], out=roots[1:])
-    feature, left, right = (np.array(a, dtype=np.int32) for a in (feature, left, right))
+    feature, left, right, roots = (np.array(a, dtype=np.int32)
+                                   for a in (feature, left, right, roots))
     packed = PackedTrees(
         feature, np.array(threshold), left, right,
-        values.astype(float, copy=False).reshape(-1, dim), roots,
+        values.astype(float, copy=False).reshape(len(feature), dim), roots,
         len(_levels(feature, left, right, roots)) - 1,
     )
-    return [RegressionTree._slice(packed, a, n, int(n_features))
-            for a, (n, n_features) in zip(roots.tolist(), shapes)]
+    return packed, np.array(features)
 
 
-def pack_trees(trees: Sequence[RegressionTree]) -> PackedTrees:
-    """Concatenate the nodes of ``trees`` (outputs of one length) into one set.
-
-    Each tree then reads its nodes from that set, so they are stored once.
-    Trees that already fill one set, in order, stay where they are.
-    """
-    if not trees:
+def pack_trees(parts: Sequence[PackedTrees]) -> PackedTrees:
+    """Concatenate packed sets (outputs of one length), their trees in order, with flat roots."""
+    if not parts:
         empty = np.zeros(0, dtype=np.int32)
         return PackedTrees(empty, np.zeros(0), empty, empty, np.zeros((0, 0)), empty, 0)
-    roots = np.zeros(len(trees), dtype=np.int32)
-    np.cumsum([tree.n_nodes for tree in trees[:-1]], out=roots[1:])
-    starts = roots.tolist()
-    nodes = trees[0]._nodes
-    if (roots[-1] + trees[-1].n_nodes == nodes.feature.shape[0]
-            and all(t._nodes is nodes and t._start == a for t, a in zip(trees, starts))):
-        return nodes
-    packed = PackedTrees(
-        *(np.concatenate([getattr(tree, name) for tree in trees]) for name in _COLUMNS), roots,
-        max(tree._nodes.depth for tree in trees),
+    offsets = np.cumsum([0, *(p.feature.shape[0] for p in parts[:-1])], dtype=np.int32)
+    return PackedTrees(
+        *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
+        np.concatenate([p.roots.ravel() + a for p, a in zip(parts, offsets)]),
+        max(p.depth for p in parts),
     )
-    for tree, a in zip(trees, starts):
-        tree._nodes, tree._start = packed, a
-    return packed
 
 
 def _levels(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -241,6 +245,7 @@ def _levels(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
     with every level.  Children must come after their parents.
     """
     n = feature.shape[0]
+    roots = np.ravel(roots)
     base = np.repeat(roots, np.diff(roots, append=n))  # each node's root
     split = feature >= 0
     left, right = left + base, right + base  # node ids in the packed set
@@ -378,7 +383,7 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     nodes = PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
                         np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
                         np.array(value), np.zeros(1, dtype=np.int32), deepest)
-    return RegressionTree._slice(nodes, 0, len(feature), X.shape[1])
+    return RegressionTree._of(nodes, X.shape[1])
 
 
 def _squared_norms(a: np.ndarray) -> np.ndarray:

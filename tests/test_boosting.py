@@ -101,17 +101,34 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.init_particles, b.init_particles)
 
 
-def test_save_load_round_trip(tmp_path):
+def _round_trip_model(case):
     X, _, targets, std = small_regression()
-    model = fit(X, targets, quick_cfg(), standardization=std, label_values=None)
+    if case == "classification":
+        labels = 1 + np.digitize(X[:, 0] + 0.5 * X[:, 1], [-1.0, 0.0, 1.0])
+        model = fit(X, make_classification_targets(labels, 4), quick_cfg(learning_rate=0.4),
+                    label_values=["a", "b", "c", "d"])
+        assert model.init_particles.shape == (3, 3)
+        return X, model
+    overrides = {"regression": {}, "one-particle": {"n_particles": 1},
+                 "no-rounds": {"max_iterations": 0}}[case]
+    return X, fit(X, targets, quick_cfg(**overrides), standardization=std, label_values=None)
+
+
+@pytest.mark.parametrize("case", ["regression", "classification", "one-particle", "no-rounds"])
+def test_save_load_round_trip(tmp_path, case):
+    X, model = _round_trip_model(case)
     path = tmp_path / "model.json"
     save_model(model, path)
     clone = load_model(path)
     assert np.array_equal(model.predict(X), clone.predict(X))
     assert clone.config == model.config
     assert clone.standardization == model.standardization
-    assert clone.target_family == "normal"
+    assert clone.target_family == ("categorical" if case == "classification" else "normal")
     assert clone.n_iterations == model.n_iterations
+    n = model.init_particles.shape[0]
+    assert [len(trees) for trees in clone.ensembles] == [model.n_iterations] * n
+    save_model(clone, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_unknown_format(tmp_path):
@@ -384,7 +401,10 @@ def test_on_iteration_sees_every_round():
     model = fit(X, targets, quick_cfg(max_iterations=4), on_iteration=seen.append)
     assert len(seen) == 4
     assert all(len(trees) == 3 for trees in seen)
-    assert [trees[0] for trees in seen] == model.ensembles[0]
+    for i, ensemble in enumerate(model.ensembles):
+        for trees, tree in zip(seen, ensemble, strict=True):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(trees[i], name), getattr(tree, name), equal_nan=True)
 
 
 def test_bad_typed_model_config_is_a_data_error(tmp_path):
@@ -431,6 +451,15 @@ def test_early_stopping_curve_is_the_staged_nll_of_the_search_fit():
     assert curve == want
 
 
+def _resize_particles(doc, d):
+    """``doc`` with every init particle and leaf value cut or padded to length d."""
+    leaves = [nd["value"] for trees in doc["ensembles"] for tree in trees for nd in tree["nodes"]
+              if "value" in nd]
+    for vec in doc["init_particles"] + leaves:
+        vec[:] = (vec + [0.5] * d)[:d]
+    return doc
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -448,9 +477,14 @@ def test_early_stopping_curve_is_the_staged_nll_of_the_search_fit():
         lambda doc: doc["ensembles"].pop(),
         lambda doc: doc["ensembles"][1].pop(),
         lambda doc: doc["config"].update(seed=-1),
+        # particles of another length than the family's, with leaves to match
+        lambda doc: _resize_particles(doc, 1),
+        lambda doc: _resize_particles(doc, 3),
+        lambda doc: _resize_particles(doc, 0).update(target_family="gaussian"),
     ],
     ids=["cycle", "no-nodes", "leaf-length", "tree-outputs", "feature", "child-type",
-         "threshold", "nan-threshold", "tree-features", "ensemble-count", "ensemble-length", "seed"],
+         "threshold", "nan-threshold", "tree-features", "ensemble-count", "ensemble-length", "seed",
+         "normal-d1", "normal-d3", "d0"],
 )
 def test_structurally_bad_model_is_a_data_error(tmp_path, mutate):
     doc = json.loads(V1_MODEL.read_text())
@@ -775,9 +809,9 @@ def test_packed_depth_is_the_deepest_tree(tmp_path, max_depth):
     model = fit(X, targets, quick_cfg(tree=TreeParams(max_depth=max_depth)))
     deepest = max(_tree_depth(tree) for trees in model.ensembles for tree in trees)
     assert deepest == max_depth  # 60 rows are enough to reach it
-    assert model._packed.depth == deepest
+    assert model.trees.depth == deepest
     save_model(model, tmp_path / "m.json")
-    assert load_model(tmp_path / "m.json")._packed.depth == deepest
+    assert load_model(tmp_path / "m.json").trees.depth == deepest
 
 
 def _split(j, thr, lo, hi):
@@ -804,7 +838,7 @@ def test_trees_that_share_children_load_once_and_route_to_the_end(tmp_path, case
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(doc))
     model = load_model(path)
-    packed = model._packed
+    packed = model.trees
     assert packed.depth == depth
     levels = _levels(packed.feature, packed.left, packed.right, packed.roots)
     assert len(levels) == depth + 1

@@ -162,12 +162,12 @@ def test_packed_depth_counts_the_deepest_tree():
     X = rng.normal(size=(80, 3))
     Y = rng.normal(size=(80, 2))
     trees = [fit_tree(X, Y, TreeParams(max_depth=depth)) for depth in (2, 0, 4, 1)]
-    assert [tree._nodes.depth for tree in trees] == [2, 0, 4, 1]
-    assert pack_trees(trees[:2]).depth == 2
-    assert pack_trees(trees).depth == 4
+    assert [tree.nodes.depth for tree in trees] == [2, 0, 4, 1]
+    assert pack_trees([tree.nodes for tree in trees[:2]]).depth == 2
+    assert pack_trees([tree.nodes for tree in trees]).depth == 4
     hand = RegressionTree(*(getattr(trees[2], name) for name in
                             ("feature", "threshold", "left", "right", "value")), 3)
-    assert hand._nodes.depth == 4  # counted from the nodes
+    assert hand.nodes.depth == 4  # counted from the nodes
     probe = rng.normal(size=(50, 3))
     assert np.array_equal(hand.predict(probe), trees[2].predict(probe))
 
