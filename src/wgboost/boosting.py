@@ -549,7 +549,9 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     if not np.all(np.isfinite(init)):
         raise DataError("model init particles contain non-finite values")
     # rounds-major, as fit packs them: tree m * n + i is round m of particle i
-    trees, tree_features = trees_from_dicts([t for trees in zip(*ensembles_doc) for t in trees])
+    trees, tree_features = trees_from_dicts(
+        [t for trees in zip(*ensembles_doc) for t in trees],
+        lambda t: "particle {1}, round {0} (tree {0} of ensembles[{1}])".format(*divmod(t, n)))
     if np.any(tree_features != n_features) or len(trees.value) and trees.value.shape[1] != d:
         raise DataError(f"trees map {sorted(set(tree_features.tolist()))} features to "
                         f"{trees.value.shape[1]} outputs; the model maps {n_features} to {d}")

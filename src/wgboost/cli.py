@@ -284,17 +284,11 @@ def _standardization(model) -> Standardization:
     return model.standardization or Standardization()
 
 
-def _class_rows(preds, k: int, values: list) -> tuple[list[str], list[dict]]:
+def _class_rows(preds, k: int, values: list) -> tuple[list[str], list[list]]:
     """Per-row predicted label, class probabilities and OOD score, with their header."""
-    probs = predictive_class_probs(preds, k)
-    classes = predicted_class(preds, k)
-    scores = ood_score(preds, k)
-    rows = []
-    for i in range(preds.shape[0]):
-        r = {"predicted_label": values[classes[i] - 1], "ood_score": scores[i]}
-        for j, v in enumerate(values):
-            r[f"prob_{v}"] = probs[i, j]
-        rows.append(r)
+    rows = [[values[c - 1], *probs, score] for c, probs, score in zip(
+        predicted_class(preds, k).tolist(), predictive_class_probs(preds, k).tolist(),
+        ood_score(preds, k).tolist())]
     return ["predicted_label", *(f"prob_{v}" for v in values), "ood_score"], rows
 
 
@@ -306,16 +300,12 @@ def _cmd_evaluate(args) -> None:
     row["dataset"] = Path(args.data).stem
     row["seed"] = model.config.seed
     row["M"] = model.n_iterations
-    per_rows = []
-    per_header: list[str] = []
     if model.target_family == "normal":
         y = dataio.parse_regression_labels(raw_labels, args.data)
         std = _standardization(model)
         row["NLL"] = predictive_nll_normal(preds, y, std)
         row["RMSE"] = point_predict_rmse(preds, y, std)
-        points = point_predictions(preds, std)
-        per_header = ["prediction"]
-        per_rows = [{"prediction": p} for p in points]
+        per_header, per_rows = ["prediction"], point_predictions(preds, std)[:, None]
     elif model.target_family == "categorical":
         if model.label_values is None:
             raise DataError("classification model lacks a stored label mapping")

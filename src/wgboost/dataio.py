@@ -143,24 +143,16 @@ def atomic_file(path: str | os.PathLike):
 
 
 def write_csv(path: str | os.PathLike, header: list[str], rows, seed: int) -> None:
-    """Write rows (sequences or dicts matching the header) plus the metadata trailer."""
+    """Write rows (arrays, sequences or dicts matching the header) plus the metadata trailer.
+
+    ``csv.writer`` writes each cell's ``str`` (a float's repr, None as an empty cell) and quotes
+    labels that hold a comma or a quote.  An array row goes as ``.tolist()``: Python numbers,
+    exact even for float32, where a np.float32 cell would be written in float32's digits.
+    """
     with atomic_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            if isinstance(row, dict):
-                row = [row.get(h, "") for h in header]
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(row.tolist() if isinstance(row, np.ndarray) else
+                         [row.get(h, "") for h in header] if isinstance(row, dict) else row
+                         for row in rows)
         fh.write(f"# seed={seed} format_version={FORMAT_VERSION}\n")
-
-
-def _format_cell(v) -> str:
-    if v is None or v == "":
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)

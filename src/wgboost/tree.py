@@ -21,7 +21,7 @@ presorts its rows once and hands the order to all the trees it fits.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -59,18 +59,29 @@ class PackedTrees(NamedTuple):
     past a leaf stays there.  ``depth`` bounds the splits on any path from a
     root to a leaf (0 when every tree is a lone leaf): :func:`route` takes
     exactly that many steps.
+
+    ``children`` holds each node's children as ``[right, left]``, so that
+    ``children[node, x <= threshold]`` is the next node, and NaN, which
+    compares False, goes right.  ``left`` and ``right`` are views of it.
     """
 
     feature: np.ndarray  # (n_nodes,) int32
     threshold: np.ndarray  # (n_nodes,) float
-    left: np.ndarray  # (n_nodes,) int32
-    right: np.ndarray  # (n_nodes,) int32
+    children: np.ndarray  # (n_nodes, 2) int32: [right, left]
     value: np.ndarray  # (n_nodes, d) float
     roots: np.ndarray  # int32, any shape: each tree's root node
     depth: int  # the most splits on a path from a root to a leaf
 
+    left = property(lambda self: self.children[:, 1])
+    right = property(lambda self: self.children[:, 0])
 
-_COLUMNS = ("feature", "threshold", "left", "right", "value")
+
+_COLUMNS = ("feature", "threshold", "children", "value")
+
+
+def _children(left, right) -> np.ndarray:
+    """The C-contiguous ``children`` column of nodes with these left and right children."""
+    return np.array([right, left], dtype=np.int32).T.copy()
 
 
 def _ranges(packed: PackedTrees) -> list[tuple[int, int]]:
@@ -85,15 +96,15 @@ class RegressionTree:
 
     __slots__ = ("nodes", "n_features")
 
-    feature, threshold, left, right, value = (property(attrgetter(f"nodes.{name}"))
-                                              for name in _COLUMNS)
+    feature, threshold, left, right, value = (property(attrgetter(f"nodes.{name}")) for name in
+                                              ("feature", "threshold", "left", "right", "value"))
     n_nodes = property(lambda self: self.nodes.feature.shape[0])
 
     def __init__(self, feature, threshold, left, right, value, n_features: int):
         feature, left, right = (np.asarray(a, dtype=np.int32) for a in (feature, left, right))
         roots = np.zeros(1, dtype=np.int32)
-        self.nodes = PackedTrees(feature, np.asarray(threshold, dtype=float), left, right,
-                                 np.asarray(value, dtype=float), roots,
+        self.nodes = PackedTrees(feature, np.asarray(threshold, dtype=float),
+                                 _children(left, right), np.asarray(value, dtype=float), roots,
                                  len(_levels(feature, left, right, roots)) - 1)
         self.n_features = int(n_features)
 
@@ -136,7 +147,7 @@ def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
     """The :meth:`RegressionTree.to_dict` of every tree of ``packed``, in node order.
 
     A tree at a time: whole columns' objects at once raised serve's peak RSS by 1.1 MB."""
-    columns = [getattr(packed, name) for name in _COLUMNS]
+    columns = [packed.feature, packed.threshold, packed.left, packed.right, packed.value]
     docs = []
     for a, b in _ranges(packed):
         nodes = [{"value": v} if j < 0 else {"feature": j, "threshold": t, "left": lo, "right": hi}
@@ -145,14 +156,16 @@ def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
     return docs
 
 
-def trees_from_dicts(docs: Sequence[dict]) -> tuple[PackedTrees, np.ndarray]:
+def trees_from_dicts(docs: Sequence[dict], name: Callable[[int], str] = "tree {}".format
+                     ) -> tuple[PackedTrees, np.ndarray]:
     """Pack trees from :meth:`RegressionTree.to_dict` output, in order, and each one's n_features.
 
     Raises DataError unless every tree is an object with a list of node
     objects and an integer ``n_features``, every tree has leaves, all with
     number values of one length shared by all the trees, and every split has
     a float threshold (not NaN), an integer feature in [0, n_features) and
-    integer children after it, so that routing always ends at a leaf.
+    integer children after it, so that routing always ends at a leaf.  The
+    error names a faulty tree as ``name(t)``, t its position in ``docs``.
     """
     if not docs:
         return pack_trees([]), np.zeros(0, dtype=int)
@@ -160,8 +173,7 @@ def trees_from_dicts(docs: Sequence[dict]) -> tuple[PackedTrees, np.ndarray]:
     # garbage collector, whose passes over the caller's parsed JSON dominate
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
+    children: list[int] = []  # [right, left] pairs, flattened
     value: list[float] = []  # value rows, flattened; zeros at splits
     roots: list[int] = []
     features: list[int] = []  # n_features of every tree
@@ -170,15 +182,15 @@ def trees_from_dicts(docs: Sequence[dict]) -> tuple[PackedTrees, np.ndarray]:
         try:
             nodes, n_features = doc["nodes"], doc["n_features"]
             if type(nodes) is not list or type(n_features) is not int:
-                raise DataError(f"tree {t} needs a list of 'nodes' and an integer 'n_features', "
+                raise DataError(f"{name(t)} needs a list of 'nodes' and an integer 'n_features', "
                                 f"got {type(nodes).__name__} and {n_features!r}")
             n = len(nodes)
             roots.append(len(feature))
             features.append(n_features)
             dims = {len(nd["value"]) for nd in nodes if "value" in nd}
             if len(dims) != 1 or dims != {dim} and dim is not None:
-                raise DataError(f"trees need leaves with values of one length, got lengths "
-                                f"{sorted(dims | {dim} - {None})}")
+                raise DataError(f"{name(t)}: trees need leaves with values of one length, got "
+                                f"lengths {sorted(dims | {dim} - {None})}")
             dim = dims.pop()
             zeros = [0.0] * dim
             for i, nd in enumerate(nodes):
@@ -190,19 +202,19 @@ def trees_from_dicts(docs: Sequence[dict]) -> tuple[PackedTrees, np.ndarray]:
                     if not (type(j) is type(lo) is type(hi) is int and type(thr) is float
                             and thr == thr and 0 <= j < n_features and i < lo < n and i < hi < n):
                         raise DataError(
-                            f"tree node {i} splits on feature {j!r} at {thr!r} into nodes {lo!r} "
-                            f"and {hi!r}; need a float threshold and integers with 0 <= feature "
-                            f"< {n_features} and {i} < child < {n}"
+                            f"{name(t)} node {i} splits on feature {j!r} at {thr!r} into nodes "
+                            f"{lo!r} and {hi!r}; need a float threshold and integers with 0 <= "
+                            f"feature < {n_features} and {i} < child < {n}"
                         )
                     value.extend(zeros)
                 feature.append(j)
                 threshold.append(thr)
-                left.append(lo)
-                right.append(hi)
+                children.append(hi)
+                children.append(lo)
         except KeyError as err:
-            raise DataError(f"tree {t} or one of its nodes lacks the key {err.args[0]!r}") from None
+            raise DataError(f"{name(t)} or a node of it lacks the key {err.args[0]!r}") from None
         except TypeError as err:  # a tree or node that is not an object, a value without a length
-            raise DataError(f"tree {t} is malformed: {err}") from None
+            raise DataError(f"{name(t)} is malformed: {err}") from None
     try:
         values = np.array(value)  # no dtype: strings or nulls must not convert
     except ValueError as err:  # nested lists of uneven shape
@@ -210,12 +222,12 @@ def trees_from_dicts(docs: Sequence[dict]) -> tuple[PackedTrees, np.ndarray]:
     if values.dtype.kind not in "fi" or values.ndim != 1:
         raise DataError(f"tree leaf 'value' entries must be lists of numbers, got {values.dtype} "
                         f"entries")
-    feature, left, right, roots = (np.array(a, dtype=np.int32)
-                                   for a in (feature, left, right, roots))
+    feature, roots = np.array(feature, dtype=np.int32), np.array(roots, dtype=np.int32)
+    children = np.array(children, dtype=np.int32).reshape(-1, 2)
     packed = PackedTrees(
-        feature, np.array(threshold), left, right,
+        feature, np.array(threshold), children,
         values.astype(float, copy=False).reshape(len(feature), dim), roots,
-        len(_levels(feature, left, right, roots)) - 1,
+        len(_levels(feature, children[:, 1], children[:, 0], roots)) - 1,
     )
     return packed, np.array(features)
 
@@ -224,7 +236,7 @@ def pack_trees(parts: Sequence[PackedTrees]) -> PackedTrees:
     """Concatenate packed sets (outputs of one length), their trees in order, with flat roots."""
     if not parts:
         empty = np.zeros(0, dtype=np.int32)
-        return PackedTrees(empty, np.zeros(0), empty, empty, np.zeros((0, 0)), empty, 0)
+        return PackedTrees(empty, np.zeros(0), empty.reshape(0, 2), np.zeros((0, 0)), empty, 0)
     offsets = np.cumsum([0, *(p.feature.shape[0] for p in parts[:-1])], dtype=np.int32)
     return PackedTrees(
         *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
@@ -273,8 +285,10 @@ def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
 
     Every pair steps down ``packed.depth`` times, with no test for the end: a
     pair that reaches a leaf early stays there, as a leaf is its own child.
-    Rows with value <= threshold go left; NaN goes right.  Callers gather
-    the leaf values (``packed.value``) in the layout they need.
+    Rows with value <= threshold go left; NaN goes right.  A step is one take
+    from the flat ``[right, left]`` pairs of ``packed.children``, at
+    ``2 * node + (x <= threshold)``.  Callers gather the leaf values
+    (``packed.value``) in the layout they need.
     """
     roots = np.asarray(roots)
     rel = np.zeros((X.shape[0], *roots.shape), dtype=np.int32)  # each pair's node, from its root
@@ -284,11 +298,11 @@ def route(packed: PackedTrees, X: np.ndarray, roots) -> np.ndarray:
     offset = np.arange(X.shape[0], dtype=np.int32 if X.size < 2**31 else np.intp) * X.shape[1]
     base = offset.reshape(-1, *(1,) * roots.ndim)
     flat = np.ascontiguousarray(X).ravel()
+    pairs = packed.children.ravel()
     for _ in range(packed.depth):
         node = roots + rel
         x = np.take(flat, base + np.take(packed.feature, node))
-        go_left = x <= np.take(packed.threshold, node)
-        rel = np.where(go_left, np.take(packed.left, node), np.take(packed.right, node))
+        rel = np.take(pairs, 2 * node + (x <= np.take(packed.threshold, node)))
     return roots + rel
 
 
@@ -381,8 +395,8 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     with np.errstate(over="ignore", invalid="ignore"):
         build(np.arange(X.shape[0]), order, np.take_along_axis(XT, order, axis=1), None, 0)
     nodes = PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
-                        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
-                        np.array(value), np.zeros(1, dtype=np.int32), deepest)
+                        _children(left, right), np.array(value), np.zeros(1, dtype=np.int32),
+                        deepest)
     return RegressionTree._of(nodes, X.shape[1])
 
 

@@ -522,6 +522,24 @@ def test_malformed_model_json_is_a_data_error_naming_the_key(tmp_path, mutate, k
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "particle, round_, mutate",
+    [
+        (1, 0, lambda nodes: nodes.__setitem__(0, 7)),
+        (2, 1, lambda nodes: nodes[0].update(feature=9)),
+        (0, 3, lambda nodes: nodes[0].pop("threshold")),
+    ],
+    ids=["int-node", "feature", "no-threshold"],
+)
+def test_malformed_tree_is_named_by_particle_and_round(tmp_path, particle, round_, mutate):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc["ensembles"][particle][round_]["nodes"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"particle {particle}, round {round_}")):
+        load_model(path)
+
+
 @pytest.mark.parametrize("text", ['{"format_version": 1,', "[" * 100_000 + "]" * 100_000],
                          ids=["truncated", "nested-too-deep"])
 def test_model_file_that_is_not_json_is_a_data_error(tmp_path, text):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface through cli.main."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 import wgboost
+from wgboost.boosting import load_model
 from wgboost.cli import main
+from wgboost.dataio import read_table
+from wgboost.evaluate import ood_score, point_predictions, predicted_class, predictive_class_probs
 
 
 @pytest.fixture()
@@ -172,6 +176,70 @@ def test_classification_flow(tmp_path, cls_csv):
     for r in data:
         assert r[0] in ("down", "up")
         assert float(r[1]) + float(r[2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_csv(header, rows, seed):
+    """What write_csv should give: numbers as repr(float(v)), labels quoted by csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+    return (buf.getvalue() + f"# seed={seed} format_version=1\n").encode()
+
+
+def test_predict_and_per_row_outputs_match_a_cell_by_cell_reference(tmp_path, reg_csv):
+    model_path, preds_path, rows_path = (tmp_path / n for n in ("m.json", "p.csv", "r.csv"))
+    assert run("train", "--data", reg_csv, "--task", "regression", "--label-column", "y",
+               "--max-iterations", 6, "--n-particles", 3, "--init-steps", 50, "--seed", 8,
+               "--out-model", model_path) == 0
+    assert run("predict", "--model", model_path, "--data", reg_csv, "--label-column", "y",
+               "--out", preds_path) == 0
+    assert run("evaluate", "--model", model_path, "--data", reg_csv, "--label-column", "y",
+               "--out", tmp_path / "metrics.csv", "--per-row", rows_path) == 0
+
+    model = load_model(model_path)
+    X, _, _ = read_table(reg_csv, "y")
+    preds = model.predict(X)
+    points = point_predictions(preds, model.standardization)
+    header = ["prediction"] + [f"particle_{i}_{c}" for i in (1, 2, 3) for c in (0, 1)]
+    rows = [[p, *particles.ravel()] for p, particles in zip(points, preds)]
+    assert preds_path.read_bytes() == _reference_csv(header, rows, 8)
+    assert rows_path.read_bytes() == _reference_csv(["prediction"], [[p] for p in points], 8)
+
+
+def test_class_outputs_with_quoted_labels_match_a_cell_by_cell_reference(tmp_path):
+    rng = np.random.default_rng(9)
+    values = ["a,b", 'say "hi"', "plain"]
+    labels = [values[i % 3] for i in range(45)]
+    X = rng.normal(size=(45, 2)) + 2.0 * (np.arange(45) % 3)[:, None]
+    data = tmp_path / "cls.csv"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x1", "x2", "cls"])
+        w.writerows([repr(float(a)), repr(float(b)), s] for (a, b), s in zip(X, labels))
+    model_path, preds_path, rows_path = (tmp_path / n for n in ("m.json", "p.csv", "r.csv"))
+    assert run("train", "--data", data, "--task", "classification", "--label-column", "cls",
+               "--max-iterations", 6, "--n-particles", 3, "--init-steps", 50, "--seed", 2,
+               "--out-model", model_path) == 0
+    assert run("predict", "--model", model_path, "--data", data, "--label-column", "cls",
+               "--out", preds_path) == 0
+    assert run("evaluate", "--model", model_path, "--data", data, "--label-column", "cls",
+               "--out", tmp_path / "metrics.csv", "--per-row", rows_path) == 0
+
+    model = load_model(model_path)
+    ordered = sorted(values)
+    assert model.label_values == ordered
+    preds = model.predict(read_table(data, "cls")[0])
+    probs = predictive_class_probs(preds, 3)
+    classes = predicted_class(preds, 3)
+    scores = ood_score(preds, 3)
+    header = ["predicted_label", *(f"prob_{v}" for v in ordered), "ood_score"]
+    rows = [[ordered[c - 1], *p, s] for c, p, s in zip(classes, probs, scores)]
+    want = _reference_csv(header, rows, 2)
+    assert b'"prob_a,b"' in want and b'"say ""hi"""' in want
+    assert preds_path.read_bytes() == want
+    assert rows_path.read_bytes() == want
 
 
 def test_exit_codes(tmp_path, reg_csv):

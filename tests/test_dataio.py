@@ -114,6 +114,46 @@ def test_write_csv_dict_rows_fill_missing(tmp_path):
     assert lines[2] == "2,True"
 
 
+#: Edge cells and the text write_csv gives each: floats as repr(float(v)),
+#: ints and bools as str, None and "" empty, labels quoted where csv needs it.
+EDGE_CELLS = [
+    (-0.0, "-0.0"), (1e16, "1e+16"), (5e-324, "5e-324"), (float("inf"), "inf"),
+    (float("-inf"), "-inf"), (float("nan"), "nan"), (0.1 + 0.2, "0.30000000000000004"),
+    (np.float64(-0.0), "-0.0"), (np.float64(1e-5), "1e-05"), (7, "7"), (np.int64(-3), "-3"),
+    (np.uint8(200), "200"), (np.True_, "True"), (np.False_, "False"), (True, "True"),
+    (False, "False"), (None, ""), ("", ""), ("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'),
+    ("plain", "plain"),
+]
+EDGE_ARRAYS = [
+    (np.array([[-0.0, 1e16, 5e-324], [np.inf, -np.inf, np.nan]]),
+     ["-0.0,1e+16,5e-324", "inf,-inf,nan"]),
+    (np.array([[0.1, 1.5]], dtype=np.float32), ["0.10000000149011612,1.5"]),
+    (np.array([[7, -3]]), ["7,-3"]),
+    (np.array([[True, False]]), ["True,False"]),
+]
+
+
+def _csv_text(header, lines, seed):
+    return "".join(f"{line}\r\n" for line in [header, *lines]) + f"# seed={seed} format_version=1\n"
+
+
+@pytest.mark.parametrize("path_kind", ["list", "dict", "array"])
+def test_write_csv_edge_cell_bytes(tmp_path, path_kind):
+    p = tmp_path / "out.csv"
+    if path_kind == "array":
+        for rows, lines in EDGE_ARRAYS:
+            write_csv(p, ["a", "b", "c"][:rows.shape[1]], rows, seed=4)
+            header = ",".join(["a", "b", "c"][:rows.shape[1]])
+            assert p.read_bytes() == _csv_text(header, lines, 4).encode()
+        return
+    header = [f"c{j}" for j in range(len(EDGE_CELLS))]
+    cells = [v for v, _ in EDGE_CELLS]
+    rows = [dict(zip(header, cells))] if path_kind == "dict" else [cells]
+    write_csv(p, header, rows, seed=4)
+    want = _csv_text(",".join(header), [",".join(text for _, text in EDGE_CELLS)], 4)
+    assert p.read_bytes() == want.encode()
+
+
 def test_write_csv_leaves_no_temp_on_failure(tmp_path):
     p = tmp_path / "out.csv"
 
