@@ -312,6 +312,8 @@ def _check_training_data(X: np.ndarray, targets: EvidentialTarget) -> np.ndarray
         raise DataError(f"features must be a 2-d array, got shape {X.shape}")
     if X.shape[0] == 0:
         raise DataError("cannot fit on an empty dataset")
+    if X.shape[1] == 0:
+        raise DataError("cannot fit without feature columns")
     if not np.all(np.isfinite(X)):
         raise DataError("features contain non-finite values")
     if targets.n_data != X.shape[0]:

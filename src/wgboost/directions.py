@@ -21,7 +21,8 @@ them as F + nu * f, no negation anywhere):
 
 Every estimator accepts particles of shape (N, d) or a batch (D, N, d) with a
 matching batch of targets, and consumes only derivatives of the target log
-density (rescaling the density leaves all outputs bit-identical).
+density, each from one ``target.derivatives`` call (rescaling the density
+leaves all outputs bit-identical).
 
 Every estimator but Langevin reads the Gaussian Gram matrix K[n, m] =
 k(theta^n, theta^m) of each particle set from ``kernel.gram``.
@@ -115,12 +116,12 @@ def smoothed_grad(
 ) -> np.ndarray:
     """Kernel-smoothed score of the target, one row per particle.
 
-    Row n is (1/N) sum_m [ log_grad(theta^m) k(theta^n, theta^m)
+    Row n is (1/N) sum_m [ score(theta^m) k(theta^n, theta^m)
     + (2/h)(theta^n - theta^m) k(theta^n, theta^m) ].  With a single particle
     the kernel terms vanish and the row equals the raw score exactly.
     """
     theta, K, c = _kernel_terms(particles, kernel.scale)
-    return _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
+    return _smoothed_gradient(K, c, target.derivatives(theta)[0], kernel.scale)
 
 
 def hess_diag(
@@ -130,11 +131,12 @@ def hess_diag(
 ) -> np.ndarray:
     """Diagonal kernel-smoothed curvature, strictly positive for concave scores.
 
-    Row n is (1/N) sum_m [ -log_hess_diag(theta^m) k(theta^n, theta^m)^2
-    + ((2/h)(theta^n - theta^m) k)^2 ], elementwise in the d coordinates.
+    Row n is (1/N) sum_m [ -curv(theta^m) k(theta^n, theta^m)^2
+    + ((2/h)(theta^n - theta^m) k)^2 ], elementwise in the d coordinates, for
+    curv the diagonal of the log Hessian.
     """
     theta, K, c = _kernel_terms(particles, kernel.scale)
-    return _smoothed_curvature(K, c, target.log_hess_diag(theta), kernel.scale)
+    return _smoothed_curvature(K, c, target.derivatives(theta, "diag")[1], kernel.scale)
 
 
 def diag_newton(
@@ -144,8 +146,9 @@ def diag_newton(
 ) -> np.ndarray:
     """Coordinate-wise Newton direction smoothed_grad / max(hess_diag, floor)."""
     theta, K, c = _kernel_terms(particles, kernel.scale)
-    g = _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
-    h = _smoothed_curvature(K, c, target.log_hess_diag(theta), kernel.scale)
+    score, curv = target.derivatives(theta, "diag")
+    g = _smoothed_gradient(K, c, score, kernel.scale)
+    h = _smoothed_curvature(K, c, curv, kernel.scale)
     with np.errstate(invalid="ignore"):  # inf / inf: boosting._direction names the row
         return g / np.maximum(h, CURVATURE_FLOOR)
 
@@ -159,19 +162,19 @@ def full_newton(
 
     H is the (N d) x (N d) block matrix with blocks
 
-        H[n, k] = (1/N) sum_m [ -log_hess_full(theta^m) K[n, m] K[k, m]
+        H[n, k] = (1/N) sum_m [ -hess(theta^m) K[n, m] K[k, m]
                                 + R[n, m] R[k, m]^T ],
 
-    and g the stacked smoothed_grad rows; row n of the result is
-    sum_k K[n, k] W^k for the N rows W^k of H^{-1} g.  A failed solve is
-    retried once with a ridge of RIDGE_SCALE * mean |diag H|; a non-finite H
-    or a second failure raises NumericError naming the datum.
+    for the full log Hessian hess, and g the stacked smoothed_grad rows; row n
+    of the result is sum_k K[n, k] W^k for the N rows W^k of H^{-1} g.  A
+    failed solve is retried once with a ridge of RIDGE_SCALE * mean |diag H|; a
+    non-finite H or a second failure raises NumericError naming the datum.
     """
     theta, K, c = _kernel_terms(particles, kernel.scale)
     n, d = theta.shape[-2], theta.shape[-1]
 
-    hess = target.log_hess_full(theta)
-    g = _smoothed_gradient(K, c, target.log_grad(theta), kernel.scale)
+    score, hess = target.derivatives(theta, "full")
+    g = _smoothed_gradient(K, c, score, kernel.scale)
     diff = theta[..., :, None, :] - theta[..., None, :, :]
     R = (2.0 / kernel.scale) * diff * K[..., None]  # R[n, m] of each pair, for the blocks below
 
@@ -239,7 +242,7 @@ def langevin_direction(
     theta = _check_particles(particles)
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    scores = target.log_grad(theta)
+    scores, _ = target.derivatives(theta)
     return scores + np.sqrt(2.0 / rate) * rng.standard_normal(scores.shape)
 
 

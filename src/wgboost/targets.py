@@ -2,8 +2,10 @@
 
 Each target represents an (unnormalized) posterior over the parameters of an
 output distribution, given one observed response.  Boosting only ever consumes
-derivatives of the log density, so every class exposes the same quartet:
-``log_density``, ``log_grad``, ``log_hess_diag``, ``log_hess_full``.
+derivatives of the log density, so every class gives them from one call,
+``derivatives(theta, curvature)``, which returns the score and the requested
+curvature from one computation of the family's shared parts.  ``log_grad``,
+``log_hess_diag`` and ``log_hess_full`` read that call, for the public API.
 
 All methods accept parameter arrays of shape (..., d) and broadcast.  A single
 instance may carry one response (scalar ``y``) or a column of D responses, in
@@ -13,14 +15,17 @@ the batching convention the boosting loop relies on.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
+#: The curvatures ``derivatives`` gives beside the score: none, the log Hessian's
+#: diagonal (..., d), or all of it (..., d, d).
+CURVATURES = (None, "diag", "full")
 
-@runtime_checkable
+
 class EvidentialTarget(Protocol):
-    """Duck-type contract every target class satisfies."""
+    """What fitting reads of a target: its log density, and its derivatives from one call."""
 
     family: str
 
@@ -32,16 +37,28 @@ class EvidentialTarget(Protocol):
 
     def log_density(self, theta: np.ndarray) -> np.ndarray: ...
 
-    def log_grad(self, theta: np.ndarray) -> np.ndarray: ...
-
-    def log_hess_diag(self, theta: np.ndarray) -> np.ndarray: ...
-
-    def log_hess_full(self, theta: np.ndarray) -> np.ndarray: ...
+    def derivatives(self, theta: np.ndarray, curvature: str | None = None) -> tuple:
+        """The score (..., d) and the curvature named by ``curvature``, one of CURVATURES."""
 
     def take(self, idx: np.ndarray) -> "EvidentialTarget": ...
 
 
-def _check_theta(theta: np.ndarray, dim: int) -> np.ndarray:
+class _Derivatives:
+    """The score and the curvatures one at a time, each a read of ``derivatives``."""
+
+    def log_grad(self, theta: np.ndarray) -> np.ndarray:
+        return self.derivatives(theta)[0]
+
+    def log_hess_diag(self, theta: np.ndarray) -> np.ndarray:
+        return self.derivatives(theta, "diag")[1]
+
+    def log_hess_full(self, theta: np.ndarray) -> np.ndarray:
+        return self.derivatives(theta, "full")[1]
+
+
+def _check_theta(theta: np.ndarray, dim: int, curvature: str | None = None) -> np.ndarray:
+    if curvature not in CURVATURES:
+        raise ValueError(f"curvature must be one of {CURVATURES}, got {curvature!r}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1] != dim:
         raise ValueError(f"parameter array has last dimension {theta.shape[-1]}, expected {dim}")
@@ -61,7 +78,7 @@ def _column(y: np.ndarray):
     return y[:, None]
 
 
-class NormalLocationScaleTarget:
+class NormalLocationScaleTarget(_Derivatives):
     """Posterior over (m, s) for one real response, s = log sigma.
 
     The output distribution is Normal(y | m, sigma) with a Normal(0, loc_scale^2)
@@ -102,8 +119,8 @@ class NormalLocationScaleTarget:
             np.atleast_1d(self.y)[idx], self.loc_scale, self.ig_shape, self.ig_rate
         )
 
-    def _parts(self, theta: np.ndarray):
-        theta = _check_theta(theta, 2)
+    def _parts(self, theta: np.ndarray, curvature: str | None = None):
+        theta = _check_theta(theta, 2, curvature)
         m, s = theta[..., 0], theta[..., 1]
         # A log scale below about -709 overflows exp to inf (and gives r = nan
         # where y = m), and a far smaller scale than the residual overflows the
@@ -115,46 +132,31 @@ class NormalLocationScaleTarget:
             r = (self._ycol - m) * inv_sigma  # standardized residual
         return m, s, inv_sigma, r
 
-    def _hess_parts(self, theta: np.ndarray):
-        """The diagonal (hm, hs) of the log Hessian, with inv_sigma and r."""
-        m, s, inv_sigma, r = self._parts(theta)
-        with np.errstate(over="ignore"):  # see _parts
-            hm = -(inv_sigma**2) - 1.0 / self.loc_scale**2
-            hs = -2.0 * r**2 - self.ig_rate * inv_sigma
-        return hm, hs, inv_sigma, r
-
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         """Unnormalized log posterior density, shape theta.shape[:-1] broadcast with y."""
         m, s, inv_sigma, r = self._parts(theta)
-        prior_m = -0.5 * m**2 / self.loc_scale**2
-        prior_s = -(self.ig_shape + 1.0) * s - self.ig_rate * inv_sigma
-        return -0.5 * r**2 + prior_m + prior_s
+        with np.errstate(over="ignore"):  # an overflowing square is a density of 0: -inf
+            prior_m = -0.5 * m**2 / self.loc_scale**2
+            prior_s = -(self.ig_shape + 1.0) * s - self.ig_rate * inv_sigma
+            return -0.5 * r**2 + prior_m + prior_s
 
-    def log_grad(self, theta: np.ndarray) -> np.ndarray:
-        m, s, inv_sigma, r = self._parts(theta)
+    def derivatives(self, theta: np.ndarray, curvature: str | None = None):
+        m, s, inv_sigma, r = self._parts(theta, curvature)
         with np.errstate(over="ignore"):  # see _parts
-            gm = r * inv_sigma - m / self.loc_scale**2
-            gs = r**2 - (self.ig_shape + 1.0) + self.ig_rate * inv_sigma
-        return _stack_last(gm, gs)
-
-    def log_hess_diag(self, theta: np.ndarray) -> np.ndarray:
-        hm, hs, _, _ = self._hess_parts(theta)
-        return _stack_last(hm, hs)
-
-    def log_hess_full(self, theta: np.ndarray) -> np.ndarray:
-        hm, hs, inv_sigma, r = self._hess_parts(theta)
-        with np.errstate(over="ignore"):  # see _parts
+            r2 = r**2
+            score = _stack_last(r * inv_sigma - m / self.loc_scale**2,
+                                r2 - (self.ig_shape + 1.0) + self.ig_rate * inv_sigma)
+            if curvature is None:
+                return score, None
+            hm = -(inv_sigma**2) - 1.0 / self.loc_scale**2
+            hs = -2.0 * r2 - self.ig_rate * inv_sigma
+            if curvature == "diag":
+                return score, _stack_last(hm, hs)
             cross = -2.0 * r * inv_sigma
-        shape = np.broadcast_shapes(hm.shape, hs.shape, cross.shape)
-        out = np.empty(shape + (2, 2))
-        out[..., 0, 0] = hm
-        out[..., 1, 1] = hs
-        out[..., 0, 1] = cross
-        out[..., 1, 0] = cross
-        return out
+        return score, _stack_last(_stack_last(hm, cross), _stack_last(cross, hs))
 
 
-class CategoricalTarget:
+class CategoricalTarget(_Derivatives):
     """Posterior over log-ratio coordinates for one class label out of k.
 
     Parameters are q in R^{k-1}, the log ratios q_j = log(p_j / p_k).  Class
@@ -194,39 +196,37 @@ class CategoricalTarget:
     def take(self, idx) -> "CategoricalTarget":
         return CategoricalTarget(np.atleast_1d(self.y)[idx], self.k, self.prior_scale)
 
-    def _probs(self, theta: np.ndarray) -> np.ndarray:
-        """Class probabilities for the first k-1 classes, stably via max subtraction."""
-        theta = _check_theta(theta, self.k - 1)
+    def _softmax(self, theta: np.ndarray):
+        """The softmax's parts, stably via max subtraction: the class probabilities of
+        the first k-1 classes are e / z, and the log normalizer is top + log z."""
         top = np.maximum(np.max(theta, axis=-1), 0.0)
         e = np.exp(theta - top[..., None])
-        z = np.exp(-top) + np.sum(e, axis=-1)
-        return e / z[..., None]
+        return e, np.exp(-top) + np.sum(e, axis=-1), top
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         theta = _check_theta(theta, self.k - 1)
-        top = np.maximum(np.max(theta, axis=-1), 0.0)
-        log_z = top + np.log(np.exp(-top) + np.sum(np.exp(theta - top[..., None]), axis=-1))
+        _, z, top = self._softmax(theta)
         label_term = np.sum(self._onehot * theta, axis=-1)
-        prior = -0.5 * np.sum(theta**2, axis=-1) / self.prior_scale**2
-        return label_term - log_z + prior
+        with np.errstate(over="ignore"):  # an overflowing square is a density of 0: -inf
+            prior = -0.5 * np.sum(theta**2, axis=-1) / self.prior_scale**2
+        return label_term - (top + np.log(z)) + prior
 
-    def log_grad(self, theta: np.ndarray) -> np.ndarray:
-        p = self._probs(theta)
-        return self._onehot - p - theta / self.prior_scale**2
-
-    def log_hess_diag(self, theta: np.ndarray) -> np.ndarray:
-        p = self._probs(theta)
-        return -p * (1.0 - p) - 1.0 / self.prior_scale**2
-
-    def log_hess_full(self, theta: np.ndarray) -> np.ndarray:
-        p = self._probs(theta)
+    def derivatives(self, theta: np.ndarray, curvature: str | None = None):
+        theta = _check_theta(theta, self.k - 1, curvature)
+        e, z, _ = self._softmax(theta)
+        p = e / z[..., None]
+        score = self._onehot - p - theta / self.prior_scale**2
+        if curvature is None:
+            return score, None
+        if curvature == "diag":
+            return score, -p * (1.0 - p) - 1.0 / self.prior_scale**2
         out = p[..., :, None] * p[..., None, :]
         j = np.arange(self.k - 1)
         out[..., j, j] -= p + 1.0 / self.prior_scale**2
-        return out
+        return score, out
 
 
-class GaussianTarget:
+class GaussianTarget(_Derivatives):
     """Plain isotropic normal log density N(mean, var I), mostly for synthetic runs."""
 
     family = "gaussian"
@@ -257,21 +257,18 @@ class GaussianTarget:
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         theta = _check_theta(theta, self._ndim)
-        return -0.5 * np.sum((theta - self._mcol) ** 2, axis=-1) / self.var
+        with np.errstate(over="ignore"):  # an overflowing square is a density of 0: -inf
+            return -0.5 * np.sum((theta - self._mcol) ** 2, axis=-1) / self.var
 
-    def log_grad(self, theta: np.ndarray) -> np.ndarray:
-        theta = _check_theta(theta, self._ndim)
-        return -(theta - self._mcol) / self.var
-
-    def log_hess_diag(self, theta: np.ndarray) -> np.ndarray:
-        theta = _check_theta(theta, self._ndim)
-        return np.broadcast_to(-1.0 / self.var, np.shape(theta - self._mcol)).copy()
-
-    def log_hess_full(self, theta: np.ndarray) -> np.ndarray:
-        theta = _check_theta(theta, self._ndim)
-        lead = np.shape(theta - self._mcol)[:-1]
+    def derivatives(self, theta: np.ndarray, curvature: str | None = None):
+        resid = _check_theta(theta, self._ndim, curvature) - self._mcol
+        score = -resid / self.var
+        if curvature is None:
+            return score, None
+        if curvature == "diag":
+            return score, np.full(resid.shape, -1.0 / self.var)
         eye = np.eye(self._ndim) / self.var
-        return np.broadcast_to(-eye, lead + (self._ndim, self._ndim)).copy()
+        return score, np.broadcast_to(-eye, resid.shape[:-1] + eye.shape).copy()
 
 
 def to_simplex(q: np.ndarray) -> np.ndarray:

@@ -332,6 +332,8 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
         raise DataError(f"features and targets disagree in length: {X.shape[0]} vs {Y.shape[0]}")
     if X.shape[0] == 0:
         raise DataError("cannot fit a tree on an empty dataset")
+    if X.shape[1] == 0:
+        raise DataError("cannot fit a tree without feature columns")
     if not np.all(np.isfinite(X)):
         raise DataError("tree features contain non-finite values")
     if not np.all(np.isfinite(Y)):

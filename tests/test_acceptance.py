@@ -110,14 +110,8 @@ def test_criterion_1_property_suite():
             def log_density(self, th):
                 return self._b.log_density(th) + 55.5
 
-            def log_grad(self, th):
-                return self._b.log_grad(th)
-
-            def log_hess_diag(self, th):
-                return self._b.log_hess_diag(th)
-
-            def log_hess_full(self, th):
-                return self._b.log_hess_full(th)
+            def derivatives(self, th, curvature=None):
+                return self._b.derivatives(th, curvature)
 
             def take(self, idx):
                 return Shifted(self._b.take(idx))

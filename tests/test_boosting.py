@@ -262,6 +262,8 @@ def test_fit_validation():
         fit(X, targets, quick_cfg(), init=np.zeros((9, 9)))
     with pytest.raises(DataError):
         fit(np.zeros((0, 2)), targets, quick_cfg())
+    with pytest.raises(DataError):
+        fit(np.zeros((40, 0)), targets, quick_cfg())
 
 
 def test_config_validation_and_coercion():
@@ -607,14 +609,11 @@ class NanScoreTarget:
         self.positions.append(int(hit[0]) if hit.size else None)
         return type(self)(self.inner.take(idx), self.positions[-1])
 
-    def log_grad(self, theta):
-        g = self.inner.log_grad(theta)
+    def derivatives(self, theta, curvature=None):
+        g, h = self.inner.derivatives(theta, curvature)
         if self.bad is not None:
             g[self.bad] = np.nan
-        return g
-
-    def log_hess_diag(self, theta):
-        return self.inner.log_hess_diag(theta)
+        return g, h
 
 
 def test_non_finite_direction_names_the_iteration_and_the_training_row():
@@ -657,14 +656,11 @@ class ZeroCurvatureTarget(NanScoreTarget):
     """Targets whose full curvature is zero at row ``bad``: with one particle, full
     Newton's smoothed Hessian there is zero, singular even after its ridge."""
 
-    def log_grad(self, theta):
-        return self.inner.log_grad(theta)
-
-    def log_hess_full(self, theta):
-        h = self.inner.log_hess_full(theta)
+    def derivatives(self, theta, curvature=None):
+        g, h = self.inner.derivatives(theta, curvature)
         if self.bad is not None:
             h[self.bad] = 0.0
-        return h
+        return g, h
 
 
 def test_singular_hessian_under_subsampling_names_the_training_row():

@@ -257,6 +257,9 @@ def test_exit_codes(tmp_path, reg_csv):
         "train", "--data", reg_csv, "--task", "regression", "--label-column", "zzz",
         "--max-iterations", 1,
     ) == 3
+    # no feature columns -> 3
+    assert run("train", "--data", reg_csv, "--task", "regression", "--label-column", "y",
+               "--feature-columns", ",") == 3
     # no task anywhere -> 2
     assert run("train", "--data", reg_csv, "--label-column", "y") == 2
     # malformed JSON config -> 2

@@ -219,14 +219,8 @@ class _Shifted:
     def log_density(self, theta):
         return self._base.log_density(theta) + self._c
 
-    def log_grad(self, theta):
-        return self._base.log_grad(theta)
-
-    def log_hess_diag(self, theta):
-        return self._base.log_hess_diag(theta)
-
-    def log_hess_full(self, theta):
-        return self._base.log_hess_full(theta)
+    def derivatives(self, theta, curvature=None):
+        return self._base.derivatives(theta, curvature)
 
     def take(self, idx):
         return _Shifted(self._base.take(idx), self._c)
@@ -354,14 +348,10 @@ class _FlatTarget:
     def log_density(self, theta):
         return np.sum(theta, axis=-1)
 
-    def log_grad(self, theta):
-        return np.ones_like(theta)
-
-    def log_hess_diag(self, theta):
-        return np.zeros_like(theta)
-
-    def log_hess_full(self, theta):
-        return np.zeros(np.shape(theta)[:-1] + (1, 1))
+    def derivatives(self, theta, curvature=None):
+        flat = {None: None, "diag": np.zeros_like(theta),
+                "full": np.zeros(np.shape(theta)[:-1] + (1, 1))}
+        return np.ones_like(theta), flat[curvature]
 
     def take(self, idx):
         return self
@@ -401,3 +391,34 @@ def test_compute_direction_accepts_string_kind():
     )
     with pytest.raises(ValueError):
         compute_direction("steepest", theta, t)
+
+
+class _Counting:
+    """Passes every call on to ``base`` and records the curvature of each derivatives call."""
+
+    def __init__(self, base):
+        self._base, self.calls = base, []
+        self.family, self.dim, self.n_data = base.family, base.dim, base.n_data
+
+    def log_density(self, theta):
+        return self._base.log_density(theta)
+
+    def derivatives(self, theta, curvature=None):
+        self.calls.append(curvature)
+        return self._base.derivatives(theta, curvature)
+
+    def take(self, idx):
+        return _Counting(self._base.take(idx))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("kind", list(DirectionKind))
+def test_each_direction_makes_one_derivatives_call(kind, batched):
+    """One (N, d) set shared by D data, as in the initializer, or a (D, N, d) batch: one
+    call, for exactly the curvature the kind reads."""
+    curvature = {DirectionKind.DIAG_NEWTON: "diag", DirectionKind.FULL_NEWTON: "full"}.get(kind)
+    rng = np.random.default_rng(4)
+    target = _Counting(NormalLocationScaleTarget(rng.normal(size=3)))
+    theta = rng.normal(size=(3, 4, 2) if batched else (4, 2))
+    compute_direction(kind, theta, target, rate=0.1, rng=rng)
+    assert target.calls == [curvature]

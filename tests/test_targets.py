@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -209,3 +211,32 @@ def test_to_simplex_extreme_logits():
 def test_from_simplex_rejects_zeros():
     with pytest.raises(ValueError):
         from_simplex(np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "target, theta",
+    [
+        (NormalLocationScaleTarget(1.0), [0.0, -400.0]),
+        (NormalLocationScaleTarget(1.0), [1e200, 0.0]),
+        (CategoricalTarget(np.int64(1), 3), [1e200, 0.0]),
+        (GaussianTarget(0.0, 1.0), [1e200]),
+    ],
+)
+def test_log_density_is_minus_inf_without_a_warning_where_a_square_overflows(target, theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert target.log_density(np.array(theta)) == -np.inf
+
+
+@pytest.mark.parametrize(
+    "target",
+    [NormalLocationScaleTarget(0.3), CategoricalTarget(np.int64(2), 3), GaussianTarget(0.0, 1.0, 2)],
+)
+def test_derivatives_give_each_curvature_and_reject_any_other(target):
+    theta = np.full((4, 2), 0.25)
+    score, curv = target.derivatives(theta)
+    assert curv is None and np.array_equal(score, target.log_grad(theta))
+    assert np.array_equal(target.derivatives(theta, "diag")[1], target.log_hess_diag(theta))
+    assert target.derivatives(theta, "full")[1].shape == (4, 2, 2)
+    with pytest.raises(ValueError, match="curvature must be one of"):
+        target.derivatives(theta, "fisher")

@@ -212,6 +212,8 @@ def test_input_validation():
     with pytest.raises(DataError):
         fit_tree(np.zeros((0, 1)), np.zeros((0, 1)))
     with pytest.raises(DataError):
+        fit_tree(np.zeros((3, 0)), Y)
+    with pytest.raises(DataError):
         fit_tree(X, np.array([[np.nan]] * 3))
     with pytest.raises(DataError):
         fit_tree(np.zeros(3), Y)
