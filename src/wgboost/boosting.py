@@ -37,7 +37,7 @@ from .evaluate import STD_FLOOR, Standardization, predictive_nll_categorical, pr
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
 from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, presort, route,
-                   trees_from_dicts, trees_to_dicts, unpack_trees)
+                   trees_from_dicts, trees_to_dicts)
 
 #: Most (row, tree) pairs one ``route`` call of prediction holds: it bounds
 #: the rounds-major (B, T, N, d) block of leaf values that ``predict`` sums
@@ -183,12 +183,6 @@ class WGBoostModel:
     def n_iterations(self) -> int:
         return self.trees.roots.shape[0]
 
-    @property
-    def ensembles(self) -> list[list[RegressionTree]]:
-        """Each particle's M trees, as views of the table built anew on each call."""
-        trees, n = unpack_trees(self.trees, self.n_features), self.trees.roots.shape[1]
-        return [trees[i::n] for i in range(n)]
-
     def predict(self, X: np.ndarray, num_trees: int | None = None) -> np.ndarray:
         """Particle outputs for rows of X: (T, p) -> (T, N, d), (p,) -> (N, d).
 
@@ -329,7 +323,7 @@ def fit(
     init: np.ndarray | None = None,
     standardization: Standardization | None = None,
     label_values: list | None = None,
-    on_iteration: Callable[[list[RegressionTree]], None] | None = None,
+    on_iteration: Callable[[PackedTrees], None] | None = None,
 ) -> WGBoostModel:
     """Fit the full model: initializer plus max_iterations boosting rounds.
 
@@ -337,7 +331,7 @@ def fit(
     ``standardization`` and ``label_values`` are carried into the model for
     prediction-time convenience; they do not affect fitting.
     ``on_iteration``, if given, is called after every boosting round with the
-    N trees fitted in it.
+    N trees fitted in it, packed with roots (N,).
     """
     X = _check_training_data(X, targets)
     rng_draw, rng_noise, rng_rows, _ = _streams(cfg.seed)
@@ -369,17 +363,17 @@ def fit(
             rows, X_it, t_it, theta, order_it = None, X_cols, targets, F, order
         g = _direction(cfg, theta, t_it, cfg.learning_rate, rng_noise, f"boosting iteration {m}: ",
                        rows)
-        trees = [fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)]
-        rounds.append(packed := pack_trees([tree.nodes for tree in trees]))
+        packed = pack_trees([fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)])
+        rounds.append(packed)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
-            F += cfg.learning_rate * np.take(packed.value, route(packed, X, packed.roots), axis=0)
+            F += cfg.learning_rate * RegressionTree(packed, X.shape[1]).predict(X)
         if (bad := _first_non_finite_row(F)) is not None:
             raise NumericError(f"boosting iteration {m}: non-finite particles for datum {bad}",
                                datum=bad)
         with np.errstate(over="ignore"):  # a direction above ~1e154 squares to inf, logged as such
             trace.append(float(np.mean(g * g)))
         if on_iteration is not None:
-            on_iteration(trees)
+            on_iteration(packed)
     table = pack_trees(rounds)
     return WGBoostModel(
         config=cfg,

@@ -135,10 +135,13 @@ class NormalLocationScaleTarget(_Derivatives):
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         """Unnormalized log posterior density, shape theta.shape[:-1] broadcast with y."""
         m, s, inv_sigma, r = self._parts(theta)
-        with np.errstate(over="ignore"):  # an overflowing square is a density of 0: -inf
+        # The density is bounded above, so a sum that is not finite is a density of 0, -inf:
+        # a square overflowed, or e^{-s}, whose -ig_rate e^{-s} outweighs a nan r = 0 * inf.
+        with np.errstate(over="ignore", invalid="ignore"):
             prior_m = -0.5 * m**2 / self.loc_scale**2
             prior_s = -(self.ig_shape + 1.0) * s - self.ig_rate * inv_sigma
-            return -0.5 * r**2 + prior_m + prior_s
+            out = -0.5 * r**2 + prior_m + prior_s
+        return np.where(np.isfinite(out), out, -np.inf)[()]
 
     def derivatives(self, theta: np.ndarray, curvature: str | None = None):
         m, s, inv_sigma, r = self._parts(theta, curvature)
@@ -200,16 +203,17 @@ class CategoricalTarget(_Derivatives):
         """The softmax's parts, stably via max subtraction: the class probabilities of
         the first k-1 classes are e / z, and the log normalizer is top + log z."""
         top = np.maximum(np.max(theta, axis=-1), 0.0)
-        e = np.exp(theta - top[..., None])
+        with np.errstate(over="ignore"):  # a difference past the float range is -inf: e = 0
+            e = np.exp(theta - top[..., None])
         return e, np.exp(-top) + np.sum(e, axis=-1), top
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         theta = _check_theta(theta, self.k - 1)
         _, z, top = self._softmax(theta)
         label_term = np.sum(self._onehot * theta, axis=-1)
-        with np.errstate(over="ignore"):  # an overflowing square is a density of 0: -inf
+        with np.errstate(over="ignore"):  # an overflowing square or sum is a density of 0: -inf
             prior = -0.5 * np.sum(theta**2, axis=-1) / self.prior_scale**2
-        return label_term - (top + np.log(z)) + prior
+            return label_term - (top + np.log(z)) + prior
 
     def derivatives(self, theta: np.ndarray, curvature: str | None = None):
         theta = _check_theta(theta, self.k - 1, curvature)
@@ -261,8 +265,10 @@ class GaussianTarget(_Derivatives):
             return -0.5 * np.sum((theta - self._mcol) ** 2, axis=-1) / self.var
 
     def derivatives(self, theta: np.ndarray, curvature: str | None = None):
-        resid = _check_theta(theta, self._ndim, curvature) - self._mcol
-        score = -resid / self.var
+        theta = _check_theta(theta, self._ndim, curvature)
+        with np.errstate(over="ignore"):  # an infinite score is reported by boosting._direction
+            resid = theta - self._mcol
+            score = -resid / self.var
         if curvature is None:
             return score, None
         if curvature == "diag":

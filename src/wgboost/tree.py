@@ -16,6 +16,10 @@ order, and its children get both by one stable partition of the node's.  A
 stable partition of a stable argsort is the stable argsort of the subset, so
 every split is the one a per-node sort would find.  The boosting loop
 presorts its rows once and hands the order to all the trees it fits.
+
+A fitted tree is a one-tree :class:`PackedTrees`, the node table a model keeps
+for all of its trees; :class:`RegressionTree` adds its feature count, for
+checked prediction.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -74,82 +77,44 @@ class PackedTrees(NamedTuple):
 
     left = property(lambda self: self.children[:, 1])
     right = property(lambda self: self.children[:, 0])
+    n_nodes = property(lambda self: self.feature.shape[0])
 
 
 _COLUMNS = ("feature", "threshold", "children", "value")
 
 
-def _children(left, right) -> np.ndarray:
-    """The C-contiguous ``children`` column of nodes with these left and right children."""
-    return np.array([right, left], dtype=np.int32).T.copy()
-
-
-def _ranges(packed: PackedTrees) -> list[tuple[int, int]]:
-    """Each tree's first node and one past its last, in node order."""
-    bounds = np.append(packed.roots, packed.feature.shape[0]).tolist()
-    return list(zip(bounds, bounds[1:]))
-
-
 class RegressionTree:
-    """Fitted tree: a one-tree :class:`PackedTrees` (``nodes``, see its node
-    encoding) and the number of features its splits index."""
+    """Packed trees (``nodes``, see :class:`PackedTrees`) and the number of
+    features their splits index, for checked prediction: wrap a
+    :func:`fit_tree` result as ``RegressionTree(nodes, n_features)``."""
 
     __slots__ = ("nodes", "n_features")
 
-    feature, threshold, left, right, value = (property(attrgetter(f"nodes.{name}")) for name in
-                                              ("feature", "threshold", "left", "right", "value"))
-    n_nodes = property(lambda self: self.nodes.feature.shape[0])
-
-    def __init__(self, feature, threshold, left, right, value, n_features: int):
-        feature, left, right = (np.asarray(a, dtype=np.int32) for a in (feature, left, right))
-        roots = np.zeros(1, dtype=np.int32)
-        self.nodes = PackedTrees(feature, np.asarray(threshold, dtype=float),
-                                 _children(left, right), np.asarray(value, dtype=float), roots,
-                                 len(_levels(feature, left, right, roots)) - 1)
-        self.n_features = int(n_features)
-
-    @classmethod
-    def _of(cls, nodes: PackedTrees, n_features: int) -> "RegressionTree":
-        """The tree of ``nodes``, a one-tree set, taken as it is (no copy, no depth count)."""
-        tree = cls.__new__(cls)
-        tree.nodes, tree.n_features = nodes, n_features
-        return tree
+    def __init__(self, nodes: PackedTrees, n_features: int):
+        self.nodes, self.n_features = nodes, n_features
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route rows to leaves.  (p,) -> (d,); (T, p) -> (T, d)."""
+        """Route rows to the leaves of every tree: (T, p) -> (T, *roots.shape, d);
+        (p,) -> (*roots.shape, d)."""
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         Xb = X[None, :] if single else X
         if Xb.ndim != 2 or Xb.shape[1] != self.n_features:
             raise ValueError(f"expected rows with {self.n_features} features, got shape {X.shape}")
-        out = np.take(self.nodes.value, route(self.nodes, Xb, 0), axis=0)
+        out = np.take(self.nodes.value, route(self.nodes, Xb, self.nodes.roots), axis=0)
         return out[0] if single else out
-
-    def to_dict(self) -> dict:
-        return trees_to_dicts(self.nodes, self.n_features)[0]
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RegressionTree":
-        """Rebuild a tree from :meth:`to_dict` output (see :func:`trees_from_dicts`)."""
-        nodes, n_features = trees_from_dicts([doc])
-        return cls._of(nodes, int(n_features[0]))
-
-
-def unpack_trees(packed: PackedTrees, n_features: int) -> list[RegressionTree]:
-    """The trees of ``packed`` in node order, as views of its nodes routed for its depth."""
-    root = np.zeros(1, dtype=np.int32)
-    return [RegressionTree._of(PackedTrees(*(getattr(packed, name)[a:b] for name in _COLUMNS),
-                                           root, packed.depth), n_features)
-            for a, b in _ranges(packed)]
 
 
 def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
-    """The :meth:`RegressionTree.to_dict` of every tree of ``packed``, in node order.
+    """Every tree of ``packed`` as a model file (format_version 1) writes it, in node order:
+    ``{"n_features": n_features, "nodes": [...]}``, a leaf ``{"value": [...]}`` and a split
+    ``{"feature", "threshold", "left", "right"}``, children relative to the tree's root.
 
     A tree at a time: whole columns' objects at once raised serve's peak RSS by 1.1 MB."""
     columns = [packed.feature, packed.threshold, packed.left, packed.right, packed.value]
+    bounds = np.append(packed.roots, packed.n_nodes).tolist()  # each tree's first node, in order
     docs = []
-    for a, b in _ranges(packed):
+    for a, b in zip(bounds, bounds[1:]):
         nodes = [{"value": v} if j < 0 else {"feature": j, "threshold": t, "left": lo, "right": hi}
                  for j, t, lo, hi, v in zip(*(column[a:b].tolist() for column in columns))]
         docs.append({"n_features": n_features, "nodes": nodes})
@@ -158,7 +123,7 @@ def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
 
 def trees_from_dicts(docs: Sequence[dict], name: Callable[[int], str] = "tree {}".format
                      ) -> tuple[PackedTrees, np.ndarray]:
-    """Pack trees from :meth:`RegressionTree.to_dict` output, in order, and each one's n_features.
+    """Pack trees from :func:`trees_to_dicts` output, in order, and each one's n_features.
 
     Raises DataError unless every tree is an object with a list of node
     objects and an integer ``n_features``, every tree has leaves, all with
@@ -237,7 +202,7 @@ def pack_trees(parts: Sequence[PackedTrees]) -> PackedTrees:
     if not parts:
         empty = np.zeros(0, dtype=np.int32)
         return PackedTrees(empty, np.zeros(0), empty.reshape(0, 2), np.zeros((0, 0)), empty, 0)
-    offsets = np.cumsum([0, *(p.feature.shape[0] for p in parts[:-1])], dtype=np.int32)
+    offsets = np.cumsum([0, *(p.n_nodes for p in parts[:-1])], dtype=np.int32)
     return PackedTrees(
         *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
         np.concatenate([p.roots.ravel() + a for p, a in zip(parts, offsets)]),
@@ -312,8 +277,8 @@ def presort(X: np.ndarray) -> np.ndarray:
 
 
 def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
-             order: np.ndarray | None = None) -> RegressionTree:
-    """Fit a tree to features X (D, p) and targets Y (D, d).
+             order: np.ndarray | None = None) -> PackedTrees:
+    """Fit a tree to features X (D, p) and targets Y (D, d): a one-tree set, roots of shape ().
 
     Every leaf value is the exact mean of the target rows routed to it.  A
     node becomes a leaf when it reaches max_depth, holds fewer than
@@ -396,10 +361,9 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     # mean whose sum overflows is inf, which the boosting loop reports
     with np.errstate(over="ignore", invalid="ignore"):
         build(np.arange(X.shape[0]), order, np.take_along_axis(XT, order, axis=1), None, 0)
-    nodes = PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
-                        _children(left, right), np.array(value), np.zeros(1, dtype=np.int32),
-                        deepest)
-    return RegressionTree._of(nodes, X.shape[1])
+    return PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
+                       np.array([right, left], dtype=np.int32).T.copy(), np.array(value),
+                       np.zeros((), dtype=np.int32), deepest)
 
 
 def _squared_norms(a: np.ndarray) -> np.ndarray:

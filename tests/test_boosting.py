@@ -28,7 +28,7 @@ from wgboost.errors import DataError, NumericError
 from wgboost.evaluate import Standardization, predictive_class_probs, predictive_nll_normal
 from wgboost.kernel import KernelConfig
 from wgboost.targets import GaussianTarget, NormalLocationScaleTarget
-from wgboost.tree import TreeParams
+from wgboost.tree import RegressionTree, TreeParams, trees_to_dicts
 
 
 def small_regression(seed=0, n=40):
@@ -126,7 +126,7 @@ def test_save_load_round_trip(tmp_path, case):
     assert clone.target_family == ("categorical" if case == "classification" else "normal")
     assert clone.n_iterations == model.n_iterations
     n = model.init_particles.shape[0]
-    assert [len(trees) for trees in clone.ensembles] == [model.n_iterations] * n
+    assert clone.trees.roots.shape == (model.n_iterations, n)
     save_model(clone, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -398,15 +398,36 @@ def test_saving_the_format_version_1_model_gives_back_its_bytes(tmp_path):
 
 
 def test_on_iteration_sees_every_round():
+    """Round m's packed trees are round m's slice of the model's table."""
     X, _, targets, _ = small_regression()
     seen = []
     model = fit(X, targets, quick_cfg(max_iterations=4), on_iteration=seen.append)
     assert len(seen) == 4
-    assert all(len(trees) == 3 for trees in seen)
-    for i, ensemble in enumerate(model.ensembles):
-        for trees, tree in zip(seen, ensemble, strict=True):
-            for name in ("feature", "threshold", "left", "right", "value"):
-                assert np.array_equal(getattr(trees[i], name), getattr(tree, name), equal_nan=True)
+    assert all(packed.roots.shape == (3,) for packed in seen)
+    table = model.trees
+    bounds = [*table.roots[:, 0].tolist(), table.n_nodes]
+    for m, packed in enumerate(seen):
+        a, b = bounds[m], bounds[m + 1]
+        assert np.array_equal(packed.roots + a, table.roots[m])
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(packed, name), getattr(table, name)[a:b], equal_nan=True)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_fit_advances_the_cache_by_one_tree_predict_per_round(monkeypatch, subsample):
+    """The cache update routes all D rows through the round's trees in one
+    RegressionTree.predict call, also when the round fits on a subsample."""
+    X, _, targets, _ = small_regression()
+    calls = []
+    predict = RegressionTree.predict
+
+    def counted(self, rows):
+        calls.append((self.nodes.roots.shape, rows.shape))
+        return predict(self, rows)
+
+    monkeypatch.setattr(RegressionTree, "predict", counted)
+    fit(X, targets, quick_cfg(max_iterations=5, subsample_fraction=subsample))
+    assert calls == [((3,), (40, 2))] * 5
 
 
 def test_bad_typed_model_config_is_a_data_error(tmp_path):
@@ -719,29 +740,37 @@ def test_estimator_numeric_error_names_the_boosting_iteration(monkeypatch):
 
 
 def _leaves(tree, X):
-    """The leaf of every row of X, by a plain Python walk of the tree's nodes."""
-    feature, threshold, left, right = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right)
-    )
+    """The leaf of every row of X, by a plain Python walk of the tree's nodes
+    (a tree as ``trees_to_dicts`` gives it)."""
+    nodes = tree["nodes"]
     leaves = []
     for x in X:
         node = 0
-        while feature[node] >= 0:
-            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        while "value" not in nodes[node]:
+            split = nodes[node]
+            node = split["left"] if x[split["feature"]] <= split["threshold"] else split["right"]
         leaves.append(node)
     return leaves
+
+
+def _tree_docs(model):
+    """Every tree of ``model`` as ``trees_to_dicts`` gives it; round m of particle i
+    is tree m * N + i."""
+    return trees_to_dicts(model.trees, model.n_features)
 
 
 def _walk_stages(model, X):
     """The particles of ``model`` on rows X after each round, summed tree by
     tree from :func:`_leaves`: the reference for packed routing."""
     n, d = model.init_particles.shape
+    docs = _tree_docs(model)
     F = np.broadcast_to(model.init_particles, (len(X), n, d)).copy()
     stages = [F.copy()]
     for m in range(model.n_iterations):
-        for i, trees in enumerate(model.ensembles):
-            leaves = _leaves(trees[m], X)
-            F[:, i, :] += model.config.learning_rate * trees[m].value[leaves].reshape(len(X), d)
+        for i in range(n):
+            nodes = docs[m * n + i]["nodes"]
+            value = np.array([nodes[leaf]["value"] for leaf in _leaves(docs[m * n + i], X)])
+            F[:, i, :] += model.config.learning_rate * value.reshape(len(X), d)
         stages.append(F.copy())
     return stages
 
@@ -766,7 +795,7 @@ def test_packed_prediction_matches_a_walk_of_every_tree(case):
 
     model = _packed_case(case)
     n, d = model.init_particles.shape
-    sizes = {tree.n_nodes for trees in model.ensembles for tree in trees}
+    sizes = {len(tree["nodes"]) for tree in _tree_docs(model)}
     if case == "unbalanced":
         assert sizes - {1, 3, 7, 15, 31}  # some tree is not complete
     elif case == "single-leaf":
@@ -788,8 +817,11 @@ def test_packed_prediction_matches_a_walk_of_every_tree(case):
     for r in (0, 3, 1234):
         assert np.array_equal(model.predict(rows[r]), want[-1][r])
     assert model.predict(rows[:0]).shape == (0, n, d)
-    tree = model.ensembles[1][2]
-    assert np.array_equal(tree.predict(rows), tree.value[_leaves(tree, rows)])
+    # round 2 of particle 1 alone, routed for the table's depth
+    root = model.trees.roots[2, 1]
+    tree = RegressionTree(model.trees._replace(roots=root), model.n_features)
+    leaves = root + np.array(_leaves(_tree_docs(model)[2 * n + 1], rows))
+    assert np.array_equal(tree.predict(rows), model.trees.value[leaves])
 
 
 @pytest.mark.parametrize("n_particles", [1, 2])
@@ -811,17 +843,19 @@ def test_predict_sums_rounds_in_order_where_numpy_would_pair(n_particles):
 
 
 def _tree_depth(tree, node=0):
-    """The most splits on a path from ``node`` of ``tree`` to a leaf, by recursion."""
-    if tree.feature[node] < 0:
+    """The most splits on a path from ``node`` of ``tree`` (as ``trees_to_dicts`` gives it)
+    to a leaf, by recursion."""
+    split = tree["nodes"][node]
+    if "value" in split:
         return 0
-    return 1 + max(_tree_depth(tree, tree.left[node]), _tree_depth(tree, tree.right[node]))
+    return 1 + max(_tree_depth(tree, split["left"]), _tree_depth(tree, split["right"]))
 
 
 @pytest.mark.parametrize("max_depth", range(5))
 def test_packed_depth_is_the_deepest_tree(tmp_path, max_depth):
     X, _, targets, _ = small_regression(n=60)
     model = fit(X, targets, quick_cfg(tree=TreeParams(max_depth=max_depth)))
-    deepest = max(_tree_depth(tree) for trees in model.ensembles for tree in trees)
+    deepest = max(_tree_depth(tree) for tree in _tree_docs(model))
     assert deepest == max_depth  # 60 rows are enough to reach it
     assert model.trees.depth == deepest
     save_model(model, tmp_path / "m.json")

@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wgboost.targets import (
+    CURVATURES,
     CategoricalTarget,
     GaussianTarget,
     NormalLocationScaleTarget,
@@ -240,3 +241,48 @@ def test_derivatives_give_each_curvature_and_reject_any_other(target):
     assert target.derivatives(theta, "full")[1].shape == (4, 2, 2)
     with pytest.raises(ValueError, match="curvature must be one of"):
         target.derivatives(theta, "fisher")
+
+
+
+#: Any finite float, with the ends of the float range and a log scale whose
+#: e^{-s} overflows drawn often.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1.7e308, -1.7e308, -800.0, 0.0])
+
+
+def _particles(d):
+    """Particle arrays (N, d) of finite values."""
+    return st.lists(st.lists(_FINITE, min_size=d, max_size=d), min_size=1, max_size=3)
+
+
+def _assert_total(target, theta):
+    """log_density is finite or -inf, never nan; no call warns."""
+    theta = np.array(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = target.log_density(theta)
+        for curvature in CURVATURES:
+            target.derivatives(theta, curvature)  # may be non-finite: boosting reports that
+    assert np.all(np.isfinite(value) | (value == -np.inf)), value
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=3), _particles(2))
+@example([0.0], [[0.0, -800.0], [0.0, -1.7e308]])  # r = 0 * inf gave nan
+def test_normal_target_is_total(y, theta):
+    _assert_total(NormalLocationScaleTarget(np.array(y)), theta)
+
+
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, k), min_size=1, max_size=3), _particles(k - 1))))
+@example((3, [1, 2], [[1.7e308, -1.7e308]]))  # theta - max(theta) overflowed in _softmax
+def test_categorical_target_is_total(case):
+    k, labels, theta = case
+    _assert_total(CategoricalTarget(np.array(labels), k), theta)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(_FINITE, min_size=1, max_size=3), st.floats(1e-3, 1e3), st.just(d), _particles(d))))
+@example(([0.0], 0.5, 1, [[1.7e308]]))  # the score overflowed in a division
+def test_gaussian_target_is_total(case):
+    mean, var, ndim, theta = case
+    _assert_total(GaussianTarget(np.array(mean), var, ndim), theta)

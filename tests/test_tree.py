@@ -8,8 +8,8 @@ import wgboost.boosting
 from wgboost.boosting import (BoostConfig, InitConfig, fit, make_classification_targets,
                               make_regression_targets, save_model)
 from wgboost.errors import DataError
-from wgboost.tree import (RegressionTree, TreeParams, _squared_norms, fit_tree, pack_trees,
-                          presort)
+from wgboost.tree import (PackedTrees, RegressionTree, TreeParams, _squared_norms, fit_tree,
+                          pack_trees, presort, trees_from_dicts, trees_to_dicts)
 
 
 def brute_force_best_sse(X, Y, min_leaf=1):
@@ -35,7 +35,7 @@ def brute_force_best_sse(X, Y, min_leaf=1):
 
 def leaf_sse(tree, X, Y):
     """Total SSE of the tree's predictions on its own training data."""
-    return float(np.sum((Y - tree.predict(X)) ** 2))
+    return float(np.sum((Y - RegressionTree(tree, X.shape[1]).predict(X)) ** 2))
 
 
 def test_two_point_split():
@@ -44,7 +44,7 @@ def test_two_point_split():
     tree = fit_tree(X, Y, TreeParams(max_depth=1))
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 0.5
-    assert np.array_equal(tree.predict(X), Y)
+    assert np.array_equal(RegressionTree(tree, 1).predict(X), Y)
 
 
 def test_depth_zero_is_global_mean():
@@ -53,7 +53,7 @@ def test_depth_zero_is_global_mean():
     Y = rng.normal(size=(20, 2))
     tree = fit_tree(X, Y, TreeParams(max_depth=0))
     assert tree.n_nodes == 1
-    assert np.allclose(tree.predict(X), Y.mean(axis=0))
+    assert np.allclose(RegressionTree(tree, 3).predict(X), Y.mean(axis=0))
 
 
 def test_constant_targets_never_split():
@@ -68,7 +68,7 @@ def test_leaves_are_exact_routed_means():
     X = rng.normal(size=(80, 4))
     Y = rng.normal(size=(80, 3))
     tree = fit_tree(X, Y, TreeParams(max_depth=3))
-    preds = tree.predict(X)
+    preds = RegressionTree(tree, 4).predict(X)
     # group rows by the leaf they land in and compare with the group mean
     leaf_of = np.zeros(80, dtype=int)
     for i in range(80):
@@ -133,7 +133,7 @@ def test_duplicate_feature_values_are_not_split_points():
     tree = fit_tree(X, Y, TreeParams(max_depth=1))
     # the only legal threshold separates the 1s from the 2
     assert tree.threshold[0] == 1.5
-    assert np.allclose(tree.predict(np.array([1.0])), Y[:3].mean(axis=0))
+    assert np.allclose(RegressionTree(tree, 1).predict(np.array([1.0])), Y[:3].mean(axis=0))
 
 
 def test_threshold_routes_like_the_scored_partition():
@@ -145,7 +145,7 @@ def test_threshold_routes_like_the_scored_partition():
     Y = np.array([[0.0], [1.0]])
     tree = fit_tree(X, Y, TreeParams(max_depth=1))
     assert tree.n_nodes == 3
-    assert np.array_equal(tree.predict(X), Y)
+    assert np.array_equal(RegressionTree(tree, 1).predict(X), Y)
 
 
 def test_fit_is_deterministic():
@@ -154,7 +154,7 @@ def test_fit_is_deterministic():
     Y = rng.normal(size=(60, 2))
     t1 = fit_tree(X, Y)
     t2 = fit_tree(X, Y)
-    assert t1.to_dict() == t2.to_dict()
+    assert trees_to_dicts(t1, 3) == trees_to_dicts(t2, 3)
 
 
 def test_packed_depth_counts_the_deepest_tree():
@@ -162,14 +162,14 @@ def test_packed_depth_counts_the_deepest_tree():
     X = rng.normal(size=(80, 3))
     Y = rng.normal(size=(80, 2))
     trees = [fit_tree(X, Y, TreeParams(max_depth=depth)) for depth in (2, 0, 4, 1)]
-    assert [tree.nodes.depth for tree in trees] == [2, 0, 4, 1]
-    assert pack_trees([tree.nodes for tree in trees[:2]]).depth == 2
-    assert pack_trees([tree.nodes for tree in trees]).depth == 4
-    hand = RegressionTree(*(getattr(trees[2], name) for name in
-                            ("feature", "threshold", "left", "right", "value")), 3)
-    assert hand.nodes.depth == 4  # counted from the nodes
+    assert [tree.depth for tree in trees] == [2, 0, 4, 1]
+    assert pack_trees(trees[:2]).depth == 2
+    assert pack_trees(trees).depth == 4
+    hand, _ = trees_from_dicts(trees_to_dicts(trees[2], 3))
+    assert hand.depth == 4  # counted from the nodes
     probe = rng.normal(size=(50, 3))
-    assert np.array_equal(hand.predict(probe), trees[2].predict(probe))
+    assert np.array_equal(RegressionTree(hand, 3).predict(probe)[:, 0],
+                          RegressionTree(trees[2], 3).predict(probe))
 
 
 def test_serialization_round_trip():
@@ -177,9 +177,10 @@ def test_serialization_round_trip():
     X = rng.normal(size=(50, 3))
     Y = rng.normal(size=(50, 2))
     tree = fit_tree(X, Y, TreeParams(max_depth=3))
-    clone = RegressionTree.from_dict(tree.to_dict())
+    clone, _ = trees_from_dicts(trees_to_dicts(tree, 3))
     probe = rng.normal(size=(200, 3))
-    assert np.array_equal(tree.predict(probe), clone.predict(probe))
+    assert np.array_equal(RegressionTree(tree, 3).predict(probe),
+                          RegressionTree(clone, 3).predict(probe)[:, 0])
     assert clone.n_nodes == tree.n_nodes
 
 
@@ -187,7 +188,7 @@ def test_predict_single_row():
     X = np.array([[0.0], [1.0]])
     Y = np.array([[0.0, 5.0], [1.0, 6.0]])
     tree = fit_tree(X, Y, TreeParams(max_depth=1))
-    out = tree.predict(np.array([0.2]))
+    out = RegressionTree(tree, 1).predict(np.array([0.2]))
     assert out.shape == (2,)
     assert np.array_equal(out, Y[0])
 
@@ -199,7 +200,7 @@ def test_predictions_stay_within_target_hull(n, depth, seed):
     X = rng.normal(size=(n, 2))
     Y = rng.normal(size=(n, 2))
     tree = fit_tree(X, Y, TreeParams(max_depth=depth))
-    preds = tree.predict(rng.normal(size=(50, 2)))
+    preds = RegressionTree(tree, 2).predict(rng.normal(size=(50, 2)))
     assert np.all(preds >= Y.min(axis=0) - 1e-12)
     assert np.all(preds <= Y.max(axis=0) + 1e-12)
 
@@ -219,7 +220,7 @@ def test_input_validation():
         fit_tree(np.zeros(3), Y)
     tree = fit_tree(X, Y)
     with pytest.raises(ValueError):
-        tree.predict(np.zeros((2, 5)))
+        RegressionTree(tree, 1).predict(np.zeros((2, 5)))
 
 
 def test_params_validation():
@@ -269,7 +270,18 @@ def reference_fit_tree(X, Y, params=TreeParams(), order=None):
         return node
 
     build(X, Y, 0)
-    return RegressionTree(feature, threshold, left, right, np.stack(value), X.shape[1])
+    # built directly, not through trees_from_dicts, which zero-fills the splits' means
+    return PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
+                       np.array([right, left], dtype=np.int32).T.copy(), np.stack(value),
+                       np.zeros((), dtype=np.int32), _tree_depth(feature, left, right))
+
+
+def _tree_depth(feature, left, right, node=0):
+    """The most splits on a path from ``node`` to a leaf, by recursion."""
+    if feature[node] < 0:
+        return 0
+    return 1 + max(_tree_depth(feature, left, right, left[node]),
+                   _tree_depth(feature, left, right, right[node]))
 
 
 def reference_best_split(Xs, Ys, min_leaf):
@@ -322,9 +334,9 @@ def test_presorted_fit_matches_the_per_node_sort(n, p, d, min_leaf, min_split, d
         Y = rng.normal(size=(n, d))
     params = TreeParams(depth, min_leaf, min_split)
     got, want = fit_tree(X, Y, params), reference_fit_tree(X, Y, params)
-    assert got.to_dict() == want.to_dict()
+    assert trees_to_dicts(got, p) == trees_to_dicts(want, p)
     assert np.array_equal(got.value, want.value)
-    assert fit_tree(X, Y, params, presort(X)).to_dict() == want.to_dict()
+    assert trees_to_dicts(fit_tree(X, Y, params, presort(X)), p) == trees_to_dicts(want, p)
 
 
 def test_children_of_a_fallback_threshold_split_further():
@@ -335,9 +347,10 @@ def test_children_of_a_fallback_threshold_split_further():
     X = np.array([[a, 0.0], [a, 1.0], [b, 0.0], [b, 1.0]])
     Y = np.array([[0.0], [1.0], [10.0], [11.0]])
     tree = fit_tree(X, Y, TreeParams(max_depth=2))
-    assert tree.to_dict() == reference_fit_tree(X, Y, TreeParams(max_depth=2)).to_dict()
+    want = reference_fit_tree(X, Y, TreeParams(max_depth=2))
+    assert trees_to_dicts(tree, 2) == trees_to_dicts(want, 2)
     assert tree.threshold[0] == a and tree.n_nodes == 7
-    assert np.array_equal(tree.predict(X), Y)
+    assert np.array_equal(RegressionTree(tree, 2).predict(X), Y)
 
 
 @pytest.mark.parametrize("exponent, min_leaf", [
