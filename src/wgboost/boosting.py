@@ -36,8 +36,8 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluate import STD_FLOOR, Standardization, predictive_nll_categorical, predictive_nll_normal
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
-from .tree import (PackedTrees, RegressionTree, TreeParams, fit_tree, pack_trees, presort, route,
-                   trees_from_dicts, trees_to_dicts)
+from .tree import (PackedTrees, RegressionTree, TreePacker, TreeParams, fit_tree, pack_trees,
+                   presort, route, trees_to_dicts)
 
 #: Most (row, tree) pairs one ``route`` call of prediction holds: it bounds
 #: the rounds-major (B, T, N, d) block of leaf values that ``predict`` sums
@@ -479,9 +479,37 @@ def _model_field(doc: dict, key: str, kind: type, nullable: bool = False):
     return value
 
 
+#: Trees per ``json.dumps`` call of :func:`save_model`: the node objects of at
+#: most this many trees exist at a time.
+_SAVE_TREES = 100
+
+
+def _dumps(value) -> str:
+    """``value`` as the model file writes it (the C encoder; ``json.dump`` to a file is not)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _ensembles_json(model: WGBoostModel) -> Iterator[str]:
+    """The model's ``ensembles`` (format_version 1) as JSON text, ``_SAVE_TREES`` trees a piece:
+    the ensemble of particle i holds round m's tree at position m."""
+    (m, n), step = model.trees.roots.shape, _SAVE_TREES
+    yield "["
+    for i in range(n):
+        yield "," * (i > 0) + "["
+        for a in range(0, m, step):  # round r of particle i is position r * n + i of roots.ravel()
+            trees = slice(a * n + i, min(a + step, m) * n, n)
+            yield "," * (a > 0) + _dumps(trees_to_dicts(model.trees, model.n_features, trees))[1:-1]
+        yield "]"
+    yield "]"
+
+
 def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
-    """Serialize to JSON, writing a temp file first so failures leave no stub."""
-    trees, n = trees_to_dicts(model.trees, model.n_features), model.trees.roots.shape[1]
+    """Serialize to JSON, writing a temp file first so failures leave no stub.
+
+    The file is what one ``json.dumps`` of the whole document gives, with
+    sorted keys, written a key at a time and the ensembles a few trees at a
+    time (:func:`_ensembles_json`), so that no whole-model node objects exist.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "target_family": model.target_family,
@@ -492,14 +520,13 @@ def save_model(model: WGBoostModel, path: str | os.PathLike) -> None:
         "n_features": model.n_features,
         "config": _config_to_dict(model.config),
         "init_particles": model.init_particles.tolist(),
-        "ensembles": [trees[i::n] for i in range(n)],
+        "ensembles": None,
     }
-    # json.dumps runs the C encoder (json.dump to a file does not); a value
-    # that is not JSON fails here, before the file is touched
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with atomic_file(path) as fh:
-        fh.write(text)
-        fh.write("\n")
+        for k, key in enumerate(sorted(doc)):
+            fh.write(("," if k else "{") + _dumps(key) + ":")
+            fh.writelines(_ensembles_json(model) if key == "ensembles" else [_dumps(doc[key])])
+        fh.write("}\n")
 
 
 def load_model(path: str | os.PathLike) -> WGBoostModel:
@@ -508,15 +535,16 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     A file that is not such a model raises DataError naming the bad key; a
     file that cannot be opened raises OSError.
     """
+    packer = TreePacker()  # packs each tree as the parser ends it
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=packer.hook)
     except (ValueError, RecursionError) as err:  # not UTF-8 JSON, or nested too deep to parse
         raise DataError(f"model {os.fspath(path)} is not readable JSON: {err}") from None
     if not isinstance(doc, dict):
         raise DataError(f"a model file must hold a JSON object, got {type(doc).__name__}")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported model format_version {doc.get('format_version')!r}")
+    if _model_field(doc, "format_version", int) != FORMAT_VERSION:
+        raise DataError(f"unsupported model format_version {doc['format_version']!r}")
     y_mean = _model_field(doc, "y_mean", float, nullable=True)
     y_std = _model_field(doc, "y_std", float, nullable=y_mean is None)
     std = None
@@ -545,7 +573,7 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     if not np.all(np.isfinite(init)):
         raise DataError("model init particles contain non-finite values")
     # rounds-major, as fit packs them: tree m * n + i is round m of particle i
-    trees, tree_features = trees_from_dicts(
+    trees, tree_features = packer.pack(
         [t for trees in zip(*ensembles_doc) for t in trees],
         lambda t: "particle {1}, round {0} (tree {0} of ensembles[{1}])".format(*divmod(t, n)))
     if np.any(tree_features != n_features) or len(trees.value) and trees.value.shape[1] != d:

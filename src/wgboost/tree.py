@@ -105,16 +105,20 @@ class RegressionTree:
         return out[0] if single else out
 
 
-def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
-    """Every tree of ``packed`` as a model file (format_version 1) writes it, in node order:
+def trees_to_dicts(packed: PackedTrees, n_features: int, trees=slice(None)) -> list[dict]:
+    """Trees of ``packed`` as a model file (format_version 1) writes them:
     ``{"n_features": n_features, "nodes": [...]}``, a leaf ``{"value": [...]}`` and a split
     ``{"feature", "threshold", "left", "right"}``, children relative to the tree's root.
 
-    A tree at a time: whole columns' objects at once raised serve's peak RSS by 1.1 MB."""
+    ``trees`` picks them by their position in ``roots.ravel()`` (all, by default),
+    in the order it gives; a tree's nodes run from its root to the next tree's.
+    The node objects of every picked tree exist at once: a caller that writes many
+    trees asks for a few at a time."""
+    first = packed.roots.ravel()
+    last = np.append(first[1:], packed.n_nodes)  # one past each tree's last node
     columns = [packed.feature, packed.threshold, packed.left, packed.right, packed.value]
-    bounds = np.append(packed.roots, packed.n_nodes).tolist()  # each tree's first node, in order
     docs = []
-    for a, b in zip(bounds, bounds[1:]):
+    for a, b in zip(first[trees].tolist(), last[trees].tolist()):
         nodes = [{"value": v} if j < 0 else {"feature": j, "threshold": t, "left": lo, "right": hi}
                  for j, t, lo, hi, v in zip(*(column[a:b].tolist() for column in columns))]
         docs.append({"n_features": n_features, "nodes": nodes})
@@ -123,41 +127,62 @@ def trees_to_dicts(packed: PackedTrees, n_features: int) -> list[dict]:
 
 def trees_from_dicts(docs: Sequence[dict], name: Callable[[int], str] = "tree {}".format
                      ) -> tuple[PackedTrees, np.ndarray]:
-    """Pack trees from :func:`trees_to_dicts` output, in order, and each one's n_features.
+    """Pack trees from :func:`trees_to_dicts` output, in order, and each one's n_features:
+    :meth:`TreePacker.pack` of the tree objects, which checks them and names a faulty one."""
+    return TreePacker().pack(docs, name)
 
-    Raises DataError unless every tree is an object with a list of node
-    objects and an integer ``n_features``, every tree has leaves, all with
-    number values of one length shared by all the trees, and every split has
-    a float threshold (not NaN), an integer feature in [0, n_features) and
-    integer children after it, so that routing always ends at a leaf.  The
-    error names a faulty tree as ``name(t)``, t its position in ``docs``.
+
+class _Tree:
+    """What :class:`TreePacker` keeps of a tree: where its nodes and its values start in
+    the packer's lists, its node count and n_features, the lengths of its leaf values
+    (None when they could not be read), and the end of the message naming its fault."""
+
+    __slots__ = ("start", "value_start", "size", "n_features", "dims", "error")
+
+
+class TreePacker:
+    """Packs the tree objects of a model file (format_version 1) into flat node lists.
+
+    As the ``object_hook`` of ``json.load`` (:meth:`hook`), it packs each tree
+    object (any object with ``"nodes"``, wherever it sits) as soon as the parser
+    has read it and leaves a :class:`_Tree` in its place, so the objects of one
+    tree at most are alive at a time.  A fault is recorded, not raised: the
+    parser meets the trees in file order, and :meth:`pack` names the first
+    faulty tree in the order it is given.  :meth:`pack` empties the packer's
+    lists as it turns them into arrays.
     """
-    if not docs:
-        return pack_trees([]), np.zeros(0, dtype=int)
-    # one flat list per node array: tuples per node would be tracked by the
-    # garbage collector, whose passes over the caller's parsed JSON dominate
-    feature: list[int] = []
-    threshold: list[float] = []
-    children: list[int] = []  # [right, left] pairs, flattened
-    value: list[float] = []  # value rows, flattened; zeros at splits
-    roots: list[int] = []
-    features: list[int] = []  # n_features of every tree
-    dim = None
-    for t, doc in enumerate(docs):
+
+    def __init__(self):
+        # one flat list per node array: tuples per node would be tracked by the garbage collector
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.children: list[int] = []  # [right, left] pairs, flattened
+        self.value: list[float] = []  # value rows, flattened; zeros at splits
+
+    def hook(self, obj: dict):
+        """The ``object_hook``: a tree object is packed, any other object returned as it is."""
+        return self.add(obj) if "nodes" in obj else obj
+
+    def add(self, doc) -> _Tree:
+        """Pack one tree object, or record why it is not one."""
+        tree = _Tree()
+        tree.start, tree.value_start, tree.size = len(self.feature), len(self.value), 0
+        tree.n_features = tree.dims = tree.error = None
+        feature, threshold, children, value = (self.feature, self.threshold, self.children,
+                                               self.value)
         try:
             nodes, n_features = doc["nodes"], doc["n_features"]
             if type(nodes) is not list or type(n_features) is not int:
-                raise DataError(f"{name(t)} needs a list of 'nodes' and an integer 'n_features', "
-                                f"got {type(nodes).__name__} and {n_features!r}")
-            n = len(nodes)
-            roots.append(len(feature))
-            features.append(n_features)
-            dims = {len(nd["value"]) for nd in nodes if "value" in nd}
-            if len(dims) != 1 or dims != {dim} and dim is not None:
-                raise DataError(f"{name(t)}: trees need leaves with values of one length, got "
-                                f"lengths {sorted(dims | {dim} - {None})}")
-            dim = dims.pop()
-            zeros = [0.0] * dim
+                tree.error = (f" needs a list of 'nodes' and an integer 'n_features', got "
+                              f"{type(nodes).__name__} and {n_features!r}")
+                return tree
+            tree.n_features = n_features
+            tree.dims = tuple(sorted({len(nd["value"]) for nd in nodes if "value" in nd}))
+            if len(tree.dims) != 1:
+                return tree
+            n = tree.size = len(nodes)
+            features = min(n_features, 2**31)  # the feature column is int32
+            zeros = [0.0] * tree.dims[0]
             for i, nd in enumerate(nodes):
                 if "value" in nd:
                     j, thr, lo, hi = -1, np.nan, i, i
@@ -165,36 +190,76 @@ def trees_from_dicts(docs: Sequence[dict], name: Callable[[int], str] = "tree {}
                 else:
                     j, thr, lo, hi = nd["feature"], nd["threshold"], nd["left"], nd["right"]
                     if not (type(j) is type(lo) is type(hi) is int and type(thr) is float
-                            and thr == thr and 0 <= j < n_features and i < lo < n and i < hi < n):
-                        raise DataError(
-                            f"{name(t)} node {i} splits on feature {j!r} at {thr!r} into nodes "
-                            f"{lo!r} and {hi!r}; need a float threshold and integers with 0 <= "
-                            f"feature < {n_features} and {i} < child < {n}"
-                        )
+                            and thr == thr and 0 <= j < features and i < lo < n and i < hi < n):
+                        tree.error = (f" node {i} splits on feature {j!r} at {thr!r} into nodes "
+                                      f"{lo!r} and {hi!r}; need a float threshold and integers "
+                                      f"with 0 <= feature < {features} and {i} < child < {n}")
+                        return tree
                     value.extend(zeros)
                 feature.append(j)
                 threshold.append(thr)
                 children.append(hi)
                 children.append(lo)
         except KeyError as err:
-            raise DataError(f"{name(t)} or a node of it lacks the key {err.args[0]!r}") from None
+            tree.error = f" or a node of it lacks the key {err.args[0]!r}"
         except TypeError as err:  # a tree or node that is not an object, a value without a length
-            raise DataError(f"{name(t)} is malformed: {err}") from None
-    try:
-        values = np.array(value)  # no dtype: strings or nulls must not convert
-    except ValueError as err:  # nested lists of uneven shape
-        raise DataError(f"tree leaf 'value' entries must be lists of numbers: {err}") from None
-    if values.dtype.kind not in "fi" or values.ndim != 1:
-        raise DataError(f"tree leaf 'value' entries must be lists of numbers, got {values.dtype} "
-                        f"entries")
-    feature, roots = np.array(feature, dtype=np.int32), np.array(roots, dtype=np.int32)
-    children = np.array(children, dtype=np.int32).reshape(-1, 2)
-    packed = PackedTrees(
-        feature, np.array(threshold), children,
-        values.astype(float, copy=False).reshape(len(feature), dim), roots,
-        len(_levels(feature, children[:, 1], children[:, 0], roots)) - 1,
-    )
-    return packed, np.array(features)
+            tree.error = f" is malformed: {err}"
+        return tree
+
+    def pack(self, trees: Sequence, name: Callable[[int], str] = "tree {}".format
+             ) -> tuple[PackedTrees, np.ndarray]:
+        """The trees, in the order given, as one packed set, and each one's n_features.
+
+        ``trees`` holds what the packer left in a parsed document, or tree
+        objects, which are packed here.  Raises DataError unless every tree is an
+        object with a list of node objects and an integer ``n_features``, every
+        tree has leaves, all with number values of one length shared by all the
+        trees, and every split has a float threshold (not NaN), an integer
+        feature in [0, n_features), and below 2**31, and integer children after
+        it, so that routing always ends at a leaf.  The error names the first
+        faulty tree as ``name(t)``, t its position in ``trees``.
+        """
+        trees = [t if type(t) is _Tree else self.add(t) for t in trees]
+        if not trees:
+            return pack_trees([]), np.zeros(0, dtype=int)
+        dim = None
+        for t, tree in enumerate(trees):
+            if tree.dims is not None and (len(tree.dims) != 1
+                                          or tree.dims != (dim,) and dim is not None):
+                raise DataError(f"{name(t)}: trees need leaves with values of one length, got "
+                                f"lengths {sorted({*tree.dims, dim} - {None})}")
+            if tree.error is not None:
+                raise DataError(name(t) + tree.error)
+            dim = tree.dims[0]
+        try:
+            values = _drain(self.value)  # no dtype: strings or nulls must not convert
+        except ValueError as err:  # nested lists of uneven shape
+            raise DataError(f"tree leaf 'value' entries must be lists of numbers: {err}") from None
+        if values.dtype.kind not in "fi" or values.ndim != 1:
+            raise DataError(f"tree leaf 'value' entries must be lists of numbers, got "
+                            f"{values.dtype} entries")
+        start, value_start, size = (np.array([getattr(tree, key) for tree in trees])
+                                    for key in ("start", "value_start", "size"))
+        roots = np.cumsum(size) - size  # each tree's root in the packed set
+        # each packed node's place in the lists, and the place of its value row
+        node = np.repeat(start - roots, size) + np.arange(roots[-1] + size[-1])
+        row = np.repeat(value_start - start * dim, size) + node * dim
+        feature = _drain(self.feature, np.int32)[node]
+        children = _drain(self.children, np.int32).reshape(-1, 2)[node]
+        roots = roots.astype(np.int32)
+        packed = PackedTrees(
+            feature, _drain(self.threshold, float)[node], children,
+            values.astype(float, copy=False)[row[:, None] + np.arange(dim)], roots,
+            len(_levels(feature, children[:, 1], children[:, 0], roots)) - 1,
+        )
+        return packed, np.array([tree.n_features for tree in trees])
+
+
+def _drain(items: list, dtype=None) -> np.ndarray:
+    """``items`` as an array, emptying the list: its number objects take several times the room."""
+    out = np.array(items, dtype=dtype)
+    items.clear()
+    return out
 
 
 def pack_trees(parts: Sequence[PackedTrees]) -> PackedTrees:

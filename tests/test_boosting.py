@@ -131,9 +131,13 @@ def test_save_load_round_trip(tmp_path, case):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_load_rejects_unknown_format(tmp_path):
+@pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])
+def test_load_rejects_unknown_format(tmp_path, version):
+    """Only the integer 1 is format_version 1: Python holds True == 1 == 1.0."""
+    doc = json.loads(V1_MODEL.read_text())
+    doc["format_version"] = version
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format_version": 99}))
+    path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="format_version"):
         load_model(path)
 
@@ -560,6 +564,46 @@ def test_malformed_tree_is_named_by_particle_and_round(tmp_path, particle, round
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=re.escape(f"particle {particle}, round {round_}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "first, second, named",
+    [
+        # file order (particle-major) meets particle 0 first; rounds-major, round 1 comes first
+        ((0, 2, lambda nodes: nodes[0].update(feature=9)),
+         (2, 1, lambda nodes: nodes[0].pop("threshold")), "particle 2, round 1"),
+        ((1, 3, lambda nodes: nodes.__setitem__(0, 7)),
+         (2, 3, lambda nodes: nodes[-1]["value"].append(0.5)), "particle 1, round 3"),
+        ((0, 1, lambda nodes: nodes[-1]["value"].append(0.5)),
+         (1, 0, lambda nodes: nodes[0].update(left=0)), "particle 1, round 0"),
+    ],
+    ids=["feature-then-threshold", "int-node-then-leaf-length", "leaf-length-then-cycle"],
+)
+def test_first_faulty_tree_in_rounds_major_order_is_named(tmp_path, first, second, named):
+    doc = json.loads(V1_MODEL.read_text())
+    for particle, round_, mutate in (first, second):
+        mutate(doc["ensembles"][particle][round_]["nodes"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    particle, round_ = map(int, re.findall(r"\d+", named))
+    with pytest.raises(DataError, match=re.escape(
+            f"{named} (tree {round_} of ensembles[{particle}])")):
+        load_model(path)
+
+
+def test_feature_index_beyond_int32_is_a_data_error(tmp_path):
+    """A file may claim 2**40 features, but a split's feature must fit the int32 column."""
+    doc = json.loads(V1_MODEL.read_text())
+    doc["n_features"] = 2**40
+    for trees in doc["ensembles"]:
+        for tree in trees:
+            tree["n_features"] = 2**40
+    doc["ensembles"][1][2]["nodes"][0]["feature"] = 2**35
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape("particle 1, round 2 (tree 2 of ensembles[1]) "
+                                                  "node 0 splits on feature 34359738368")):
         load_model(path)
 
 
