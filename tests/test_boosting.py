@@ -132,9 +132,14 @@ def test_save_load_round_trip(tmp_path, case):
 
 
 @pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])
-def test_load_rejects_unknown_format(tmp_path, version):
-    """Only the integer 1 is format_version 1: Python holds True == 1 == 1.0."""
-    doc = json.loads(V1_MODEL.read_text())
+@pytest.mark.parametrize("body", ["bare", "full"])
+def test_load_rejects_unknown_format(tmp_path, version, body):
+    """Only the integer 1 is format_version 1: Python holds True == 1 == 1.0.
+
+    The bare document has no other key, so the version must be checked before
+    any of them; the full one is tests/model_v1.json with its version changed.
+    """
+    doc = json.loads(V1_MODEL.read_text()) if body == "full" else {}
     doc["format_version"] = version
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
