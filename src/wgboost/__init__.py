@@ -44,7 +44,7 @@ from .targets import (
     from_simplex,
     to_simplex,
 )
-from .tree import RegressionTree, TreeParams, fit_tree
+from .tree import TreeParams, fit_tree
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "NormalLocationScaleTarget",
     "NormalRef",
     "NumericError",
-    "RegressionTree",
     "Standardization",
     "TreeParams",
     "WGBoostError",

@@ -5,8 +5,7 @@ particle matrix F of shape (D, N, d) over the training rows; each iteration
 computes the chosen update direction for every row, fits one tree per
 particle index to the direction rows, and advances the whole cache by
 learning_rate times the tree predictions.  The features are sorted once per
-fit (``tree.presort``; once per round under row subsampling), and every tree
-reads its split candidates from that order.
+fit (``tree.presort``), and every tree reads its split candidates in that order.
 
 A model is one table of node arrays (``tree.PackedTrees``), roots[m, i] the
 tree of round m for particle i.  Prediction replays the cache update from it:
@@ -14,9 +13,9 @@ it routes every row through the trees of a block of rounds at once
 (``tree.route``), then adds each round's learning_rate times leaf values in
 round order, so staged predictions agree with the cache bit for bit.
 
-All randomness (initializer draw, Langevin noise, row subsampling, the
-early-stopping validation split) comes from four independent streams derived
-from the single config seed, which makes repeat runs byte-identical.
+All randomness (initializer draw, Langevin noise, the early-stopping
+validation split) comes from independent streams derived from the single
+config seed, which makes repeat runs byte-identical.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ class InitConfig:
     steps: int = 5000
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError("init rate must be positive")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(f"init.rate must be a positive finite number, got {self.rate}")
         if self.steps < 0:
-            raise ValueError("init steps must be >= 0")
+            raise ValueError("init.steps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class BoostConfig:
     direction: DirectionKind = DirectionKind.DIAG_NEWTON
     kernel: KernelConfig = KernelConfig()
     tree: TreeParams = TreeParams()
-    subsample_fraction: float = 1.0
     init: InitConfig = InitConfig()
     seed: int = 0
 
@@ -83,10 +81,9 @@ class BoostConfig:
             raise ValueError("n_particles must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.subsample_fraction <= 1.0:
-            raise ValueError("subsample_fraction must lie in (0, 1]")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be a positive finite number, got "
+                             f"{self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -111,7 +108,6 @@ SETTINGS = (
     Setting("max_depth", "tree", "max_depth", int),
     Setting("min_samples_leaf", "tree", "min_samples_leaf", int),
     Setting("min_samples_split", "tree", "min_samples_split", int),
-    Setting("subsample_fraction", None, "subsample_fraction", float),
     Setting("init_rate", "init", "rate", float),
     Setting("init_steps", "init", "steps", int),
     Setting("seed", None, "seed", int),
@@ -243,30 +239,31 @@ def _first_non_finite_row(a: np.ndarray) -> int | None:
     return int(np.argmin(np.isfinite(a.reshape(-1, *a.shape[-2:])).all(axis=(1, 2))))
 
 
-def _name_row(err: NumericError, rows: np.ndarray | None, prefix: str = "") -> NumericError:
-    """``err`` with ``prefix``, its datum mapped through ``rows`` to a row of the caller's data."""
+def _name_row(err: NumericError, rows: np.ndarray) -> NumericError:
+    """``err`` with its datum mapped through ``rows`` to a row of the caller's data."""
     detail, datum = str(err), err.datum
-    if datum is not None and rows is not None:
+    if datum is not None:
         datum = int(rows[datum])
         detail = detail.replace(f"datum {err.datum}", f"datum {datum}", 1)
-    return NumericError(prefix + detail, datum=datum)
+    return NumericError(detail, datum=datum)
 
 
 def _direction(cfg: BoostConfig, theta: np.ndarray, targets: EvidentialTarget, rate: float,
-               rng: np.random.Generator, prefix: str, rows: np.ndarray | None = None) -> np.ndarray:
+               rng: np.random.Generator, prefix: str) -> np.ndarray:
     """The configured direction at ``theta``.  An estimator's NumericError, or its first non-finite
-    datum, raises NumericError with ``prefix``, the datum mapped through ``rows``."""
+    datum, raises NumericError with ``prefix``."""
     try:
         g = compute_direction(cfg.direction, theta, targets, cfg.kernel, rate=rate, rng=rng)
         if (bad := _first_non_finite_row(g)) is not None:
             raise NumericError(f"non-finite direction for datum {bad}", datum=bad)
     except NumericError as err:
-        raise _name_row(err, rows, prefix) from err
+        raise NumericError(prefix + str(err), datum=err.datum) from err
     return g
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
-    """Independent generators for init draw, Langevin noise, subsampling, split."""
+    """Independent generators for init draw, Langevin noise, (unused) and the validation split.
+    The unused third child keeps the split at child 3, which fixes every seed's split."""
     children = np.random.SeedSequence(seed).spawn(4)
     return tuple(np.random.default_rng(c) for c in children)
 
@@ -334,7 +331,7 @@ def fit(
     N trees fitted in it, packed with roots (N,).
     """
     X = _check_training_data(X, targets)
-    rng_draw, rng_noise, rng_rows, _ = _streams(cfg.seed)
+    rng_draw, rng_noise, _, _ = _streams(cfg.seed)
     if init is None:
         init = _run_init(targets, cfg, rng_draw, rng_noise)
     else:
@@ -343,27 +340,17 @@ def fit(
             raise DataError(
                 f"init particles have shape {init.shape}, expected {(cfg.n_particles, targets.dim)}"
             )
-    n_data = X.shape[0]
     n, d = init.shape
-    F = np.broadcast_to(init, (n_data, n, d)).copy()
+    F = np.broadcast_to(init, (X.shape[0], n, d)).copy()
     rounds: list[PackedTrees] = []
     trace: list[float] = []
-    n_sub = math.ceil(cfg.subsample_fraction * n_data)
     # Column-major features, so that every tree reads X.T without a copy (a
     # copy per tree raised a fit's peak memory by 8 MB at 1200 x 16), and
     # their presort: the trees of the fit share both.
-    X_cols = np.asfortranarray(X)
-    order = presort(X) if n_sub == n_data else None
+    X_cols, order = np.asfortranarray(X), presort(X)
     for m in range(cfg.max_iterations):
-        if n_sub < n_data:
-            rows = np.sort(rng_rows.choice(n_data, size=n_sub, replace=False))
-            X_it, t_it, theta = np.asfortranarray(X[rows]), targets.take(rows), F[rows]
-            order_it = presort(X_it)
-        else:
-            rows, X_it, t_it, theta, order_it = None, X_cols, targets, F, order
-        g = _direction(cfg, theta, t_it, cfg.learning_rate, rng_noise, f"boosting iteration {m}: ",
-                       rows)
-        packed = pack_trees([fit_tree(X_it, g[:, i, :], cfg.tree, order_it) for i in range(n)])
+        g = _direction(cfg, F, targets, cfg.learning_rate, rng_noise, f"boosting iteration {m}: ")
+        packed = pack_trees([fit_tree(X_cols, g[:, i, :], cfg.tree, order) for i in range(n)])
         rounds.append(packed)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
             F += cfg.learning_rate * RegressionTree(packed, X.shape[1]).predict(X)
@@ -439,8 +426,13 @@ def fit_with_early_stopping(
     return final, curve
 
 
+#: The model config key (format_version 1) of the share of rows each round fitted: saved as 1.0,
+#: since every fit uses all rows; a loaded share must lie in (0, 1] and is then dropped.
+_ROW_SHARE = "subsample_fraction"
+
+
 def _config_to_dict(cfg: BoostConfig) -> dict:
-    doc: dict = {}
+    doc: dict = {_ROW_SHARE: 1.0}
     for s in SETTINGS:
         value = getattr(cfg if s.group is None else getattr(cfg, s.group), s.name)
         if s.group in _JSON_GROUPS:
@@ -452,15 +444,18 @@ def _config_to_dict(cfg: BoostConfig) -> dict:
 
 def _config_from_dict(doc: dict) -> BoostConfig:
     flat = {}
-    for s in SETTINGS:
-        path = (s.group, s.name) if s.group in _JSON_GROUPS else (s.key,)
+    paths = [(s.key, (s.group, s.name) if s.group in _JSON_GROUPS else (s.key,)) for s in SETTINGS]
+    for key, path in [*paths, (_ROW_SHARE, (_ROW_SHARE,))]:
         value = doc
         for part in path:
             value = value.get(part) if isinstance(value, dict) else None
         if value is None:
             raise DataError(f"model config lacks a value for {'.'.join(path)}")
-        flat[s.key] = value
+        flat[key] = value
     try:
+        check_type(_ROW_SHARE, flat[_ROW_SHARE], float)
+        if not 0.0 < flat[_ROW_SHARE] <= 1.0:
+            raise ValueError(f"{_ROW_SHARE} must lie in (0, 1], got {flat[_ROW_SHARE]!r}")
         return config_from_settings(flat)
     except (ConfigError, ValueError) as err:
         raise DataError(f"model config: {err}") from None

@@ -57,8 +57,6 @@ METRIC_COLUMNS = [
 
 #: The ``boost`` config keys and their flags; the seed is a top-level run key.
 _BOOST_SETTINGS = [s for s in SETTINGS if s.key != "seed"]
-#: Flags not spelled ``--`` plus the key with dashes.
-_FLAG_NAMES = {"subsample_fraction": "--subsample"}
 #: Top-level run config keys and their types.
 _RUN_KEYS = {
     "task": str, "data": str, "label_column": str, "feature_columns": (list, str), "seed": int,
@@ -105,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int)
     for s in _BOOST_SETTINGS:
         choices = [k.value for k in DirectionKind] if s.key == "direction" else None
-        flag = _FLAG_NAMES.get(s.key, "--" + s.key.replace("_", "-"))
-        tr.add_argument(flag, type=s.type, choices=choices, dest=s.key)
+        tr.add_argument("--" + s.key.replace("_", "-"), type=s.type, choices=choices, dest=s.key)
     tr.add_argument("--early-stopping", action=argparse.BooleanOptionalAction, default=None)
     tr.add_argument("--val-fraction", type=float)
     tr.add_argument("--threads", type=int, help="must be 1 (trees are fitted on one thread); kept "

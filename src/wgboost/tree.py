@@ -125,13 +125,6 @@ def trees_to_dicts(packed: PackedTrees, n_features: int, trees=slice(None)) -> l
     return docs
 
 
-def trees_from_dicts(docs: Sequence[dict], name: Callable[[int], str] = "tree {}".format
-                     ) -> tuple[PackedTrees, np.ndarray]:
-    """Pack trees from :func:`trees_to_dicts` output, in order, and each one's n_features:
-    :meth:`TreePacker.pack` of the tree objects, which checks them and names a faulty one."""
-    return TreePacker().pack(docs, name)
-
-
 class _Tree:
     """What :class:`TreePacker` keeps of a tree: where its nodes and its values start in
     the packer's lists, its node count and n_features, the lengths of its leaf values

@@ -147,19 +147,6 @@ def test_load_rejects_unknown_format(tmp_path, version, body):
         load_model(path)
 
 
-def test_subsampling_moves_every_row():
-    X, _, targets, _ = small_regression()
-    cfg = quick_cfg(subsample_fraction=0.5, max_iterations=4)
-    model = fit(X, targets, cfg)
-    preds = model.predict(X)
-    init = np.broadcast_to(model.init_particles, preds.shape)
-    # trees generalize the subsample's directions to all rows
-    moved = np.any(preds != init, axis=(1, 2))
-    assert moved.all()
-    again = fit(X, targets, cfg)
-    assert np.array_equal(preds, again.predict(X))
-
-
 def test_langevin_fit_is_seeded():
     X, _, targets, _ = small_regression()
     cfg = quick_cfg(direction=DirectionKind.LANGEVIN, max_iterations=3)
@@ -282,10 +269,12 @@ def test_config_validation_and_coercion():
         BoostConfig(n_particles=0)
     with pytest.raises(ValueError):
         BoostConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        BoostConfig(subsample_fraction=1.5)
+    with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+        BoostConfig(learning_rate=float("inf"))
     with pytest.raises(ValueError):
         InitConfig(rate=-0.01)
+    with pytest.raises(ValueError, match="init.rate must be a positive finite number"):
+        InitConfig(rate=float("inf"))
 
 
 def test_task_config_defaults():
@@ -344,7 +333,6 @@ def test_saved_config_object_is_pinned(tmp_path):
         direction="first-order",
         kernel=KernelConfig(0.3),
         tree=TreeParams(max_depth=2, min_samples_leaf=3, min_samples_split=7),
-        subsample_fraction=0.5,
         init=InitConfig(rate=0.02, steps=3),
         seed=9,
     )
@@ -357,7 +345,7 @@ def test_saved_config_object_is_pinned(tmp_path):
         "direction": "first-order",
         "kernel_scale": 0.3,
         "tree": {"max_depth": 2, "min_samples_leaf": 3, "min_samples_split": 7},
-        "subsample_fraction": 0.5,
+        "subsample_fraction": 1.0,
         "init": {"rate": 0.02, "steps": 3},
         "seed": 9,
     }
@@ -406,6 +394,54 @@ def test_saving_the_format_version_1_model_gives_back_its_bytes(tmp_path):
     assert path.read_bytes() == V1_MODEL.read_bytes()
 
 
+def test_format_version_1_subsample_fraction_below_1_loads_and_saves_back_as_1(tmp_path):
+    """Every fit uses all rows: a file's share of rows only described its trees' fit."""
+    doc = json.loads(V1_MODEL.read_text())
+    doc["config"]["subsample_fraction"] = 0.5
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    assert np.array_equal(model.predict(V1_ROWS), np.array(V1_PREDICTIONS))
+    again = tmp_path / "again.json"
+    save_model(model, again)
+    assert again.read_bytes() == V1_MODEL.read_bytes()
+    assert json.loads(again.read_text())["config"]["subsample_fraction"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "value", [0, 1.5, "0.5", True, None, float("nan")],
+    ids=["zero", "above-1", "string", "bool", "missing", "nan"],
+)
+def test_model_subsample_fraction_outside_0_1_is_a_data_error_naming_it(tmp_path, value):
+    doc = json.loads(V1_MODEL.read_text())
+    if value is None:
+        del doc["config"]["subsample_fraction"]
+    else:
+        doc["config"]["subsample_fraction"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="subsample_fraction"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, name",
+    [(lambda config: config.update(learning_rate=float("inf")), "learning_rate"),
+     (lambda config: config["init"].update(rate=float("inf")), "init.rate")],
+    ids=["learning-rate", "init-rate"],
+)
+def test_model_with_an_infinite_rate_is_a_data_error_naming_it(tmp_path, mutate, name):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc["config"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape(f"model config: {name} must be a positive "
+                                                      "finite number, got inf")):
+            load_model(path)
+
+
 def test_on_iteration_sees_every_round():
     """Round m's packed trees are round m's slice of the model's table."""
     X, _, targets, _ = small_regression()
@@ -422,10 +458,9 @@ def test_on_iteration_sees_every_round():
             assert np.array_equal(getattr(packed, name), getattr(table, name)[a:b], equal_nan=True)
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
-def test_fit_advances_the_cache_by_one_tree_predict_per_round(monkeypatch, subsample):
+def test_fit_advances_the_cache_by_one_tree_predict_per_round(monkeypatch):
     """The cache update routes all D rows through the round's trees in one
-    RegressionTree.predict call, also when the round fits on a subsample."""
+    RegressionTree.predict call."""
     X, _, targets, _ = small_regression()
     calls = []
     predict = RegressionTree.predict
@@ -435,7 +470,7 @@ def test_fit_advances_the_cache_by_one_tree_predict_per_round(monkeypatch, subsa
         return predict(self, rows)
 
     monkeypatch.setattr(RegressionTree, "predict", counted)
-    fit(X, targets, quick_cfg(max_iterations=5, subsample_fraction=subsample))
+    fit(X, targets, quick_cfg(max_iterations=5))
     assert calls == [((3,), (40, 2))] * 5
 
 
@@ -668,16 +703,15 @@ def test_initializer_numeric_error_names_the_step(monkeypatch):
 
 
 class NanScoreTarget:
-    """Targets whose score is nan at row ``bad``; ``take`` records where that row lands."""
+    """Targets whose score is nan at row ``bad``; ``take`` keeps that row's new position."""
 
     def __init__(self, inner, bad):
-        self.inner, self.bad, self.positions = inner, bad, []
+        self.inner, self.bad = inner, bad
         self.family, self.dim, self.n_data = inner.family, inner.dim, inner.n_data
 
     def take(self, idx):
         hit = np.nonzero(idx == self.bad)[0]
-        self.positions.append(int(hit[0]) if hit.size else None)
-        return type(self)(self.inner.take(idx), self.positions[-1])
+        return type(self)(self.inner.take(idx), int(hit[0]) if hit.size else None)
 
     def derivatives(self, theta, curvature=None):
         g, h = self.inner.derivatives(theta, curvature)
@@ -688,13 +722,12 @@ class NanScoreTarget:
 
 def test_non_finite_direction_names_the_iteration_and_the_training_row():
     X, _, targets, _ = small_regression()
-    target = NanScoreTarget(targets, bad=30)
-    cfg = quick_cfg(subsample_fraction=0.5)
+    cfg = quick_cfg()
     with pytest.raises(NumericError) as err:
-        fit(X, target, cfg, init=np.zeros((cfg.n_particles, 2)))  # init= skips the initializer
-    iteration = len(target.positions) - 1  # the first subsample that holds row 30 fails
-    assert str(err.value) == f"boosting iteration {iteration}: non-finite direction for datum 30"
-    assert target.positions[-1] != 30  # its position inside that subsample
+        # init= skips the initializer
+        fit(X, NanScoreTarget(targets, bad=30), cfg, init=np.zeros((cfg.n_particles, 2)))
+    assert str(err.value) == "boosting iteration 0: non-finite direction for datum 30"
+    assert err.value.datum == 30
 
 
 @pytest.mark.parametrize("kind", ["first-order", "diag-newton", "langevin"])
@@ -733,18 +766,16 @@ class ZeroCurvatureTarget(NanScoreTarget):
         return g, h
 
 
-def test_singular_hessian_under_subsampling_names_the_training_row():
+def test_singular_hessian_names_the_iteration_and_the_training_row():
     X, _, targets, _ = small_regression()
-    target = ZeroCurvatureTarget(targets, bad=30)
-    cfg = quick_cfg(n_particles=1, direction="full-newton", subsample_fraction=0.5)
+    cfg = quick_cfg(n_particles=1, direction="full-newton")
     with pytest.raises(NumericError) as err:
-        fit(X, target, cfg, init=np.zeros((1, 2)))  # init= skips the initializer
-    iteration = len(target.positions) - 1  # the first subsample that holds row 30 fails
+        # init= skips the initializer
+        fit(X, ZeroCurvatureTarget(targets, bad=30), cfg, init=np.zeros((1, 2)))
     assert str(err.value) == (
-        f"boosting iteration {iteration}: smoothed Hessian is singular for datum 30 even after "
-        "ridge 0"
+        "boosting iteration 0: smoothed Hessian is singular for datum 30 even after ridge 0"
     )
-    assert target.positions[-1] != 30  # its position inside that subsample
+    assert err.value.datum == 30
 
 
 def test_full_newton_overflow_is_a_numeric_error_without_a_warning():

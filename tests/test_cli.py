@@ -415,7 +415,8 @@ def test_negative_seed_is_a_config_error(tmp_path, reg_csv, capsys, monkeypatch,
 @pytest.mark.parametrize(
     "key, value",
     [("threads", 0), ("threads", -3), ("threads", 2), ("val_fraction", 0.0), ("val_fraction", 1.0),
-     ("val_fraction", -0.2), ("val_fraction", 1.5)],
+     ("val_fraction", -0.2), ("val_fraction", 1.5), ("learning_rate", float("inf")),
+     ("init_rate", float("inf"))],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, capsys, key, value,
@@ -426,13 +427,36 @@ def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, cap
     argv = []
     if source == "flag":
         argv = ["--" + key.replace("_", "-"), value]
+    elif key in ("learning_rate", "init_rate"):
+        doc["boost"] = {key: value}
     else:
         doc[key] = value
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))
     model = tmp_path / "m.json"
     assert run("train", "--config", cfg, "--out-model", model, *argv) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    name = "init.rate" if key == "init_rate" else key
+    assert capsys.readouterr().err.startswith(f"config error: {name} must")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_subsample_flag_and_boost_key_are_unknown(tmp_path, reg_csv, capsys, source):
+    """Every fit uses all rows: no flag or boost key sets a share of them."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"boost": {"subsample_fraction": 1.0} if source == "config" else {}}))
+    model = tmp_path / "m.json"
+    argv = ["train", "--config", cfg, "--data", reg_csv, "--task", "regression", "--label-column",
+            "y", "--max-iterations", 1, "--init-steps", 1, "--out-model", model]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv, "--subsample", 0.5)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --subsample 0.5" in capsys.readouterr().err
+    else:
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown boost config keys: ['subsample_fraction']\n")
     assert not model.exists()
 
 

@@ -8,8 +8,8 @@ import wgboost.boosting
 from wgboost.boosting import (BoostConfig, InitConfig, fit, make_classification_targets,
                               make_regression_targets, save_model)
 from wgboost.errors import DataError
-from wgboost.tree import (PackedTrees, RegressionTree, TreeParams, _squared_norms, fit_tree,
-                          pack_trees, presort, trees_from_dicts, trees_to_dicts)
+from wgboost.tree import (PackedTrees, RegressionTree, TreePacker, TreeParams, _squared_norms,
+                          fit_tree, pack_trees, presort, trees_to_dicts)
 
 
 def brute_force_best_sse(X, Y, min_leaf=1):
@@ -165,7 +165,7 @@ def test_packed_depth_counts_the_deepest_tree():
     assert [tree.depth for tree in trees] == [2, 0, 4, 1]
     assert pack_trees(trees[:2]).depth == 2
     assert pack_trees(trees).depth == 4
-    hand, _ = trees_from_dicts(trees_to_dicts(trees[2], 3))
+    hand, _ = TreePacker().pack(trees_to_dicts(trees[2], 3))
     assert hand.depth == 4  # counted from the nodes
     probe = rng.normal(size=(50, 3))
     assert np.array_equal(RegressionTree(hand, 3).predict(probe)[:, 0],
@@ -177,7 +177,7 @@ def test_serialization_round_trip():
     X = rng.normal(size=(50, 3))
     Y = rng.normal(size=(50, 2))
     tree = fit_tree(X, Y, TreeParams(max_depth=3))
-    clone, _ = trees_from_dicts(trees_to_dicts(tree, 3))
+    clone, _ = TreePacker().pack(trees_to_dicts(tree, 3))
     probe = rng.normal(size=(200, 3))
     assert np.array_equal(RegressionTree(tree, 3).predict(probe),
                           RegressionTree(clone, 3).predict(probe)[:, 0])
@@ -270,7 +270,7 @@ def reference_fit_tree(X, Y, params=TreeParams(), order=None):
         return node
 
     build(X, Y, 0)
-    # built directly, not through trees_from_dicts, which zero-fills the splits' means
+    # built directly, not through TreePacker, which zero-fills the splits' means
     return PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
                        np.array([right, left], dtype=np.int32).T.copy(), np.stack(value),
                        np.zeros((), dtype=np.int32), _tree_depth(feature, left, right))
@@ -390,9 +390,8 @@ def test_order_must_have_the_presort_shape():
         fit_tree(X, Y, order=presort(X[:9]))
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
 @pytest.mark.parametrize("task", ["regression", "classification"])
-def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task, subsample):
+def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task):
     rng = np.random.default_rng(11)
     X = np.round(rng.normal(size=(70, 3)), 1)
     if task == "regression":
@@ -400,8 +399,7 @@ def test_presorted_boosting_saves_the_same_bytes(tmp_path, monkeypatch, task, su
     else:
         targets = make_classification_targets(1 + (X[:, 0] > 0) + (X[:, 1] > 0.5))
     cfg = BoostConfig(n_particles=4, max_iterations=6, learning_rate=0.3,
-                      subsample_fraction=subsample, tree=TreeParams(max_depth=3),
-                      init=InitConfig(steps=10), seed=3)
+                      tree=TreeParams(max_depth=3), init=InitConfig(steps=10), seed=3)
     paths = []
     for fitter in (fit_tree, reference_fit_tree):
         monkeypatch.setattr(wgboost.boosting, "fit_tree", fitter)
