@@ -289,11 +289,12 @@ def _run_init(
     theta = rng_draw.standard_normal((cfg.n_particles, targets.dim))
     for step in range(cfg.init.steps):
         g = _direction(cfg, theta, targets, cfg.init.rate, rng_noise, f"initializer step {step}: ")
-        if g.ndim == 3:
-            g = g.mean(axis=0)
-        theta = theta + cfg.init.rate * g
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            if g.ndim == 3:
+                g = g.mean(axis=0)
+            theta = theta + cfg.init.rate * g
         if not np.all(np.isfinite(theta)):
-            raise NumericError(f"initializer drifted to non-finite values at step {step}")
+            raise NumericError(f"initializer step {step}: non-finite particles")
     return theta
 
 
@@ -550,6 +551,8 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
         std = Standardization(y_mean, y_std)
     cfg = _config_from_dict(_model_field(doc, "config", dict))
     n_features = _model_field(doc, "n_features", int)
+    if n_features < 1:
+        raise DataError(f"model n_features must be at least 1, got {n_features}")
     init = np.array(_model_field(doc, "init_particles", list), dtype=object)
     ensembles_doc = _model_field(doc, "ensembles", list)
     n = cfg.n_particles
@@ -568,14 +571,9 @@ def load_model(path: str | os.PathLike) -> WGBoostModel:
     if not np.all(np.isfinite(init)):
         raise DataError("model init particles contain non-finite values")
     # rounds-major, as fit packs them: tree m * n + i is round m of particle i
-    trees, tree_features = packer.pack(
-        [t for trees in zip(*ensembles_doc) for t in trees],
+    trees = packer.pack(
+        [t for trees in zip(*ensembles_doc) for t in trees], n_features, d,
         lambda t: "particle {1}, round {0} (tree {0} of ensembles[{1}])".format(*divmod(t, n)))
-    if np.any(tree_features != n_features) or len(trees.value) and trees.value.shape[1] != d:
-        raise DataError(f"trees map {sorted(set(tree_features.tolist()))} features to "
-                        f"{trees.value.shape[1]} outputs; the model maps {n_features} to {d}")
-    if not np.all(np.isfinite(trees.value)):
-        raise DataError("model trees have non-finite leaf values")
     family = _model_field(doc, "target_family", str)
     k = _model_field(doc, "k", int, nullable=True)
     if family == "categorical" and k != d + 1:

@@ -140,9 +140,10 @@ class TreePacker:
     object (any object with ``"nodes"``, wherever it sits) as soon as the parser
     has read it and leaves a :class:`_Tree` in its place, so the objects of one
     tree at most are alive at a time.  A fault is recorded, not raised: the
-    parser meets the trees in file order, and :meth:`pack` names the first
-    faulty tree in the order it is given.  :meth:`pack` empties the packer's
-    lists as it turns them into arrays.
+    parser meets the trees in file order, before the model's feature count and
+    particles, and :meth:`pack` checks every tree against those and names the
+    first faulty tree in the order it is given.  :meth:`pack` empties the
+    packer's lists as it turns them into arrays.
     """
 
     def __init__(self):
@@ -199,31 +200,29 @@ class TreePacker:
             tree.error = f" is malformed: {err}"
         return tree
 
-    def pack(self, trees: Sequence, name: Callable[[int], str] = "tree {}".format
-             ) -> tuple[PackedTrees, np.ndarray]:
-        """The trees, in the order given, as one packed set, and each one's n_features.
+    def pack(self, trees: Sequence, n_features: int, dim: int,
+             name: Callable[[int], str] = "tree {}".format) -> PackedTrees:
+        """The trees, in the order given, as one packed set of a model that maps
+        ``n_features`` features to ``dim`` outputs.
 
         ``trees`` holds what the packer left in a parsed document, or tree
         objects, which are packed here.  Raises DataError unless every tree is an
-        object with a list of node objects and an integer ``n_features``, every
-        tree has leaves, all with number values of one length shared by all the
-        trees, and every split has a float threshold (not NaN), an integer
-        feature in [0, n_features), and below 2**31, and integer children after
-        it, so that routing always ends at a leaf.  The error names the first
-        faulty tree as ``name(t)``, t its position in ``trees``.
+        object with a list of node objects and the model's ``n_features``, every
+        tree has leaves, all with ``dim`` finite numbers, and every split has a
+        float threshold (not NaN), an integer feature in [0, n_features), and
+        below 2**31, and integer children after it, so that routing always ends
+        at a leaf.  The error names the first faulty tree as ``name(t)``, t its
+        position in ``trees``.
         """
         trees = [t if type(t) is _Tree else self.add(t) for t in trees]
         if not trees:
-            return pack_trees([]), np.zeros(0, dtype=int)
-        dim = None
+            return pack_trees([])
         for t, tree in enumerate(trees):
-            if tree.dims is not None and (len(tree.dims) != 1
-                                          or tree.dims != (dim,) and dim is not None):
-                raise DataError(f"{name(t)}: trees need leaves with values of one length, got "
-                                f"lengths {sorted({*tree.dims, dim} - {None})}")
             if tree.error is not None:
                 raise DataError(name(t) + tree.error)
-            dim = tree.dims[0]
+            if tree.n_features != n_features or tree.dims != (dim,):
+                raise DataError(f"{name(t)} has n_features {tree.n_features} and leaf lengths "
+                                f"{list(tree.dims)}; the model needs {n_features} and [{dim}]")
         try:
             values = _drain(self.value)  # no dtype: strings or nulls must not convert
         except ValueError as err:  # nested lists of uneven shape
@@ -239,13 +238,13 @@ class TreePacker:
         row = np.repeat(value_start - start * dim, size) + node * dim
         feature = _drain(self.feature, np.int32)[node]
         children = _drain(self.children, np.int32).reshape(-1, 2)[node]
+        threshold = _drain(self.threshold, float)[node]
+        value = values.astype(float, copy=False)[row[:, None] + np.arange(dim)]
+        if not np.isfinite(value).all():
+            raise DataError("tree leaf 'value' entries must be finite numbers")
         roots = roots.astype(np.int32)
-        packed = PackedTrees(
-            feature, _drain(self.threshold, float)[node], children,
-            values.astype(float, copy=False)[row[:, None] + np.arange(dim)], roots,
-            len(_levels(feature, children[:, 1], children[:, 0], roots)) - 1,
-        )
-        return packed, np.array([tree.n_features for tree in trees])
+        return PackedTrees(feature, threshold, children, value, roots,
+                           len(_levels(feature, children[:, 1], children[:, 0], roots)) - 1)
 
 
 def _drain(items: list, dtype=None) -> np.ndarray:

@@ -576,9 +576,11 @@ def test_structurally_bad_model_is_a_data_error(tmp_path, mutate):
         (lambda doc: doc["config"]["tree"].pop("max_depth"), "tree.max_depth"),
         (lambda doc: doc["ensembles"][0][0]["nodes"].__setitem__(0, 7), "tree 0"),
         (lambda doc: doc["ensembles"][0][0]["nodes"][0].pop("left"), "left"),
+        (lambda doc: doc["ensembles"].__setitem__(1, 5), "ensembles"),
     ],
     ids=["no-nodes", "no-k", "null-y-std", "int-ensembles", "string-leaf", "string-leaf-entry",
-         "string-init", "string-init-entry", "no-config-key", "int-node", "no-left"],
+         "string-init", "string-init-entry", "no-config-key", "int-node", "no-left",
+         "int-ensemble"],
 )
 def test_malformed_model_json_is_a_data_error_naming_the_key(tmp_path, mutate, key):
     doc = json.loads(V1_MODEL.read_text())
@@ -629,6 +631,53 @@ def test_first_faulty_tree_in_rounds_major_order_is_named(tmp_path, first, secon
     particle, round_ = map(int, re.findall(r"\d+", named))
     with pytest.raises(DataError, match=re.escape(
             f"{named} (tree {round_} of ensembles[{particle}])")):
+        load_model(path)
+
+
+def _widen_leaves(tree):
+    for nd in tree["nodes"]:
+        if "value" in nd:
+            nd["value"].append(0.5)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["ensembles"][1][2].update(n_features=7),
+         "particle 1, round 2 (tree 2 of ensembles[1]) has n_features 7 and leaf lengths [2]"),
+        (lambda doc: _widen_leaves(doc["ensembles"][2][1]),
+         "particle 2, round 1 (tree 1 of ensembles[2]) has n_features 2 and leaf lengths [3]"),
+        # every tree alike: no tree disagrees with another, the first disagrees with the model
+        (lambda doc: [_widen_leaves(tree) for trees in doc["ensembles"] for tree in trees],
+         "particle 0, round 0 (tree 0 of ensembles[0]) has n_features 2 and leaf lengths [3]"),
+        (lambda doc: [tree.update(n_features=3) for trees in doc["ensembles"] for tree in trees],
+         "particle 0, round 0 (tree 0 of ensembles[0]) has n_features 3 and leaf lengths [2]"),
+    ],
+    ids=["one-tree-features", "one-tree-leaf-length", "all-leaf-lengths", "all-tree-features"],
+)
+def test_tree_that_disagrees_with_the_model_is_named(tmp_path, mutate, message):
+    doc = json.loads(V1_MODEL.read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"{message}; the model needs 2 and [2]")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("n_features", [0, -3])
+def test_model_without_feature_columns_is_a_data_error(tmp_path, n_features):
+    """A leaf-only model splits on no feature, so its trees check no feature count."""
+    X, _, targets, _ = small_regression()
+    path = tmp_path / "m.json"
+    save_model(fit(X, targets, quick_cfg(max_iterations=2, tree=TreeParams(max_depth=0))), path)
+    doc = json.loads(path.read_text())
+    doc["n_features"] = n_features
+    for trees in doc["ensembles"]:
+        for tree in trees:
+            tree["n_features"] = n_features
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(
+            f"model n_features must be at least 1, got {n_features}")):
         load_model(path)
 
 

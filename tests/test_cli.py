@@ -242,7 +242,7 @@ def test_class_outputs_with_quoted_labels_match_a_cell_by_cell_reference(tmp_pat
     assert rows_path.read_bytes() == want
 
 
-def test_exit_codes(tmp_path, reg_csv):
+def test_exit_codes(tmp_path, reg_csv, capsys):
     # unknown config key -> 2
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"task": "regression", "bogus": 1}))
@@ -262,6 +262,14 @@ def test_exit_codes(tmp_path, reg_csv):
                "--feature-columns", ",") == 3
     # no task anywhere -> 2
     assert run("train", "--data", reg_csv, "--label-column", "y") == 2
+    # no data or no label column anywhere -> 2
+    assert run("train", "--task", "regression", "--label-column", "y") == 2
+    assert run("train", "--task", "regression", "--data", reg_csv) == 2
+    # missing model file -> 3
+    capsys.readouterr()
+    assert run("predict", "--model", tmp_path / "nope.json", "--data", reg_csv,
+               "--label-column", "y", "--out", tmp_path / "out.csv") == 3
+    assert capsys.readouterr().err.startswith(f"data error: cannot open model {tmp_path / 'nope.json'}")
     # malformed JSON config -> 2
     cfg.write_text("{")
     assert run("train", "--config", cfg) == 2
@@ -416,7 +424,7 @@ def test_negative_seed_is_a_config_error(tmp_path, reg_csv, capsys, monkeypatch,
     "key, value",
     [("threads", 0), ("threads", -3), ("threads", 2), ("val_fraction", 0.0), ("val_fraction", 1.0),
      ("val_fraction", -0.2), ("val_fraction", 1.5), ("learning_rate", float("inf")),
-     ("init_rate", float("inf"))],
+     ("init_rate", float("inf")), ("max_iterations", -1), ("init_steps", -1)],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, capsys, key, value,
@@ -427,7 +435,7 @@ def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, cap
     argv = []
     if source == "flag":
         argv = ["--" + key.replace("_", "-"), value]
-    elif key in ("learning_rate", "init_rate"):
+    elif key in ("learning_rate", "init_rate", "max_iterations", "init_steps"):
         doc["boost"] = {key: value}
     else:
         doc[key] = value
@@ -435,7 +443,7 @@ def test_out_of_range_run_setting_is_a_config_error_before_reading(tmp_path, cap
     cfg.write_text(json.dumps(doc))
     model = tmp_path / "m.json"
     assert run("train", "--config", cfg, "--out-model", model, *argv) == 2
-    name = "init.rate" if key == "init_rate" else key
+    name = key.replace("init_", "init.")
     assert capsys.readouterr().err.startswith(f"config error: {name} must")
     assert not model.exists()
 
@@ -520,6 +528,17 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f"config error: config {cfg} is not valid JSON")
 
 
+@pytest.mark.parametrize("text, error", [(None, "cannot open config {}: "),
+                                         ("[1]", "config {} must hold a JSON object\n")],
+                         ids=["missing", "list"])
+def test_missing_or_non_object_config_file_is_a_config_error(tmp_path, capsys, text, error):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run("train", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("config error: " + error.format(cfg))
+
+
 @pytest.mark.parametrize(
     "doc, error",
     [({"target_family": "categorical", "k": 5}, "needs k = 3"),
@@ -591,6 +610,21 @@ def test_huge_learning_rate_is_a_numeric_error_without_a_warning(tmp_path, capsy
     assert capsys.readouterr().err == (
         "numeric failure: boosting iteration 1: non-finite direction for datum 0\n"
     )
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_huge_init_rate_is_a_numeric_error_without_a_warning(tmp_path, capsys, task):
+    label = {"classification": lambda X: np.where(X[:, 0] > 0, "up", "down"),
+             "regression": lambda X: np.sin(X[:, 0])}[task]
+    data = _three_feature_table(tmp_path / "t.csv", label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(
+            "train", "--task", task, "--data", data, "--label-column", "y",
+            "--init-steps", 5, "--max-iterations", 2, "--init-rate", 1.7e308,
+            "--out-model", tmp_path / "m.json",
+        ) == 4
+    assert capsys.readouterr().err == "numeric failure: initializer step 0: non-finite particles\n"
 
 
 @pytest.mark.parametrize("learning_rate", [1e6, 1e12, 1e100])

@@ -165,7 +165,7 @@ def test_packed_depth_counts_the_deepest_tree():
     assert [tree.depth for tree in trees] == [2, 0, 4, 1]
     assert pack_trees(trees[:2]).depth == 2
     assert pack_trees(trees).depth == 4
-    hand, _ = TreePacker().pack(trees_to_dicts(trees[2], 3))
+    hand = TreePacker().pack(trees_to_dicts(trees[2], 3), 3, 2)
     assert hand.depth == 4  # counted from the nodes
     probe = rng.normal(size=(50, 3))
     assert np.array_equal(RegressionTree(hand, 3).predict(probe)[:, 0],
@@ -177,7 +177,7 @@ def test_serialization_round_trip():
     X = rng.normal(size=(50, 3))
     Y = rng.normal(size=(50, 2))
     tree = fit_tree(X, Y, TreeParams(max_depth=3))
-    clone, _ = TreePacker().pack(trees_to_dicts(tree, 3))
+    clone = TreePacker().pack(trees_to_dicts(tree, 3), 3, 2)
     probe = rng.normal(size=(200, 3))
     assert np.array_equal(RegressionTree(tree, 3).predict(probe),
                           RegressionTree(clone, 3).predict(probe)[:, 0])
@@ -339,11 +339,13 @@ def test_presorted_fit_matches_the_per_node_sort(n, p, d, min_leaf, min_split, d
     assert trees_to_dicts(fit_tree(X, Y, params, presort(X)), p) == trees_to_dicts(want, p)
 
 
-def test_children_of_a_fallback_threshold_split_further():
-    # the threshold falls back to the left value a (see the test above), and
-    # the presorted rows of both children must still follow "<= threshold"
-    a = 1.0
-    b = np.nextafter(a, 2.0)
+@pytest.mark.parametrize("a, b", [(1.0, np.nextafter(1.0, 2.0)), (np.nextafter(1.0, 0.0), 1.0)],
+                         ids=["midpoint-is-a", "midpoint-rounds-up-to-b"])
+def test_children_of_a_fallback_threshold_split_further(a, b):
+    # adjacent floats: the midpoint of 1 and the next float up is exactly a, but
+    # that of 1 and the next one down rounds up to b, and the threshold falls
+    # back to a; the presorted rows of both children must follow "<= threshold"
+    assert 0.5 * (a + b) == (a if a == 1.0 else b)
     X = np.array([[a, 0.0], [a, 1.0], [b, 0.0], [b, 1.0]])
     Y = np.array([[0.0], [1.0], [10.0], [11.0]])
     tree = fit_tree(X, Y, TreeParams(max_depth=2))
