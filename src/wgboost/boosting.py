@@ -5,7 +5,8 @@ particle matrix F of shape (D, N, d) over the training rows; each iteration
 computes the chosen update direction for every row, fits one tree per
 particle index to the direction rows, and advances the whole cache by
 learning_rate times the tree predictions.  The features are sorted once per
-fit (``tree.presort``), and every tree reads its split candidates in that order.
+fit (``tree.presort``, ``tree.sorted_columns``), and every tree reads its split
+candidates in that order.
 
 A model is one table of node arrays (``tree.PackedTrees``), roots[m, i] the
 tree of round m for particle i.  Prediction replays the cache update from it:
@@ -36,7 +37,7 @@ from .evaluate import STD_FLOOR, Standardization, predictive_nll_categorical, pr
 from .kernel import KernelConfig
 from .targets import CategoricalTarget, EvidentialTarget, NormalLocationScaleTarget
 from .tree import (PackedTrees, RegressionTree, TreePacker, TreeParams, fit_tree, pack_trees,
-                   presort, route, trees_to_dicts)
+                   presort, route, sorted_columns, trees_to_dicts)
 
 #: Most (row, tree) pairs one ``route`` call of prediction holds: it bounds
 #: the rounds-major (B, T, N, d) block of leaf values that ``predict`` sums
@@ -249,11 +250,13 @@ def _name_row(err: NumericError, rows: np.ndarray) -> NumericError:
 
 
 def _direction(cfg: BoostConfig, theta: np.ndarray, targets: EvidentialTarget, rate: float,
-               rng: np.random.Generator, prefix: str) -> np.ndarray:
-    """The configured direction at ``theta``.  An estimator's NumericError, or its first non-finite
-    datum, raises NumericError with ``prefix``."""
+               rng: np.random.Generator, prefix: str, mix: np.ndarray | None = None) -> np.ndarray:
+    """The configured direction at ``theta``, its rows mixed from those of ``targets`` by ``mix``
+    if given.  An estimator's NumericError, or its first non-finite datum, raises NumericError
+    with ``prefix``."""
     try:
-        g = compute_direction(cfg.direction, theta, targets, cfg.kernel, rate=rate, rng=rng)
+        g = compute_direction(cfg.direction, theta, targets, cfg.kernel, rate=rate, rng=rng,
+                              mix=mix)
         if (bad := _first_non_finite_row(g)) is not None:
             raise NumericError(f"non-finite direction for datum {bad}", datum=bad)
     except NumericError as err:
@@ -285,10 +288,30 @@ def _run_init(
     The particle set is shared by all D targets; each step moves it by
     init.rate times the direction averaged over the targets.  The Langevin
     kind uses init.rate as its rate here.
+
+    When the targets give a basis (``targets.basis()``), each step does its
+    kernel sums on the basis rows and mixes them into the D rows.  A mixed step
+    that fails is redone on all D rows with the same noise draws: one basis row's
+    overflow spreads to every datum mixed from it, and the redo's error names the
+    datum at fault, as the per-row path does.  Should the redo succeed, the mixed
+    step's own error stands.
     """
     theta = rng_draw.standard_normal((cfg.n_particles, targets.dim))
+    basis = getattr(targets, "basis", lambda: None)()
+    rows, mix = (targets, None) if basis is None else (targets.take(basis[0]), basis[1])
+    draws = cfg.direction is DirectionKind.LANGEVIN and mix is not None
     for step in range(cfg.init.steps):
-        g = _direction(cfg, theta, targets, cfg.init.rate, rng_noise, f"initializer step {step}: ")
+        prefix = f"initializer step {step}: "
+        noise = rng_noise.bit_generator.state if draws else None
+        try:
+            g = _direction(cfg, theta, rows, cfg.init.rate, rng_noise, prefix, mix)
+        except NumericError:
+            if mix is None:
+                raise
+            if noise is not None:
+                rng_noise.bit_generator.state = noise
+            _direction(cfg, theta, targets, cfg.init.rate, rng_noise, prefix)
+            raise
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             if g.ndim == 3:
                 g = g.mean(axis=0)
@@ -346,12 +369,13 @@ def fit(
     rounds: list[PackedTrees] = []
     trace: list[float] = []
     # Column-major features, so that every tree reads X.T without a copy (a
-    # copy per tree raised a fit's peak memory by 8 MB at 1200 x 16), and
-    # their presort: the trees of the fit share both.
+    # copy per tree raised a fit's peak memory by 8 MB at 1200 x 16), their
+    # presort and each feature's sorted values: the trees of the fit share all three.
     X_cols, order = np.asfortranarray(X), presort(X)
+    presorted = (order, sorted_columns(X_cols, order))
     for m in range(cfg.max_iterations):
         g = _direction(cfg, F, targets, cfg.learning_rate, rng_noise, f"boosting iteration {m}: ")
-        packed = pack_trees([fit_tree(X_cols, g[:, i, :], cfg.tree, order) for i in range(n)])
+        packed = pack_trees([fit_tree(X_cols, g[:, i, :], cfg.tree, presorted) for i in range(n)])
         rounds.append(packed)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
             F += cfg.learning_rate * RegressionTree(packed, X.shape[1]).predict(X)
@@ -382,6 +406,7 @@ def fit_with_early_stopping(
     cfg: BoostConfig,
     val_fraction: float = 0.2,
     *,
+    init: np.ndarray | None = None,
     standardization: Standardization | None = None,
     label_values: list | None = None,
 ) -> tuple[WGBoostModel, list[float]]:
@@ -391,6 +416,7 @@ def fit_with_early_stopping(
     the rest, replayed stage by stage on the held-out rows, gives the
     validation NLL after every iteration (index 0 is the bare initializer);
     the refit on all rows uses the argmin, ties resolved toward fewer trees.
+    ``init``, as in :func:`fit`, replaces the initializer of both fits.
     Returns the refit model and the recorded curve.
     """
     X = _check_training_data(X, targets)
@@ -411,7 +437,7 @@ def fit_with_early_stopping(
     else:
         metric = lambda F: predictive_nll_categorical(F, t_val.y, t_val.k)
     try:
-        search = fit(X[fit_idx], targets.take(fit_idx), cfg)
+        search = fit(X[fit_idx], targets.take(fit_idx), cfg, init=init)
     except NumericError as err:
         raise _name_row(err, fit_idx) from err
     curve = [metric(F) for F in search.staged_predict(X[val_idx])]
@@ -421,6 +447,7 @@ def fit_with_early_stopping(
         X,
         targets,
         replace(cfg, max_iterations=best),
+        init=init,
         standardization=standardization,
         label_values=label_values,
     )

@@ -24,6 +24,16 @@ matching batch of targets, and consumes only derivatives of the target log
 density, each from one ``target.derivatives`` call (rescaling the density
 leaves all outputs bit-identical).
 
+With ``mix``, a (D, U) matrix, one shared (N, d) set is evaluated against the
+U basis targets that ``target`` holds (see ``targets.basis``), and the result
+has D rows, row d as if for a target whose derivatives are sum_u mix[d, u]
+times those of target u.  Each estimator does its kernel sums on the U rows
+and applies ``mix`` to its linear parts before its nonlinear last step: the
+smoothed gradient (first-order), the smoothed gradient and curvature before
+their ratio (diag-newton), the smoothed gradient and Hessian blocks before the
+D solves (full-newton), and the score before the per-row noise (Langevin, whose
+draws do not change).
+
 Every estimator but Langevin reads the Gaussian Gram matrix K[n, m] =
 k(theta^n, theta^m) of each particle set from ``kernel.gram``.
 
@@ -39,7 +49,10 @@ the N particles.  Both sums are unchanged when all particles shift together,
 so centring is exact; without it, a set sitting far from 0 loses the second
 sum to cancellation (at offset 1e6 and spread 0.1 it came out 3% off).
 ``full_newton`` is the one estimator that still forms the repulsion tensor R,
-for its Hessian blocks.
+for its Hessian blocks.  All of the above is per row of the batch.  For the
+initializer's one shared set, ``mix`` leaves U rows of it (three for the
+normal family, one per label for the categorical) and adds one (D, U) by
+(U, N d) product per mixed array; only the last step touches all D rows.
 """
 
 from __future__ import annotations
@@ -66,23 +79,40 @@ class DirectionKind(str, Enum):
     LANGEVIN = "langevin"
 
 
-def _check_particles(particles: np.ndarray) -> np.ndarray:
+def _check_particles(particles: np.ndarray, target: EvidentialTarget,
+                     mix: np.ndarray | None) -> np.ndarray:
     p = np.asarray(particles, dtype=float)
     if p.ndim < 2:
         raise ValueError(f"particles must have shape (..., N, d), got {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("particles contain non-finite values")
+    if mix is not None and (p.ndim != 2 or np.ndim(mix) != 2
+                            or np.shape(mix)[1] != target.n_data):
+        raise ValueError(f"mix must be a (D, {target.n_data}) matrix over the target's rows, "
+                         f"for one (N, d) particle set; got {np.shape(mix)} and {p.shape}")
     return p
 
 
-def _kernel_terms(particles: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kernel_terms(particles: np.ndarray, target: EvidentialTarget, h: float,
+                  mix: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked particles theta, their Gram matrix K and theta centred on its mean over N.
 
     The repulsion sums are unchanged when all particles shift together, so
     they read the centred c.
     """
-    theta = _check_particles(particles)
+    theta = _check_particles(particles, target, mix)
     return theta, gram(theta, theta, h), theta - theta.mean(axis=-2, keepdims=True)
+
+
+def _mix(mix: np.ndarray | None, rows: np.ndarray, ndim: int) -> np.ndarray:
+    """``mix`` (D, U) applied to the leading axis of ``rows`` (U, ...): the (D, ...) rows of
+    the data.  ``rows`` of only ``ndim`` dimensions lack that axis (a curvature that does
+    not depend on the response) and, like any ``rows`` when ``mix`` is None, stay as they
+    are."""
+    if mix is None or rows.ndim == ndim:
+        return rows
+    with np.errstate(over="ignore", invalid="ignore"):  # boosting._direction names the row
+        return (mix @ rows.reshape(rows.shape[0], -1)).reshape(mix.shape[:1] + rows.shape[1:])
 
 
 def _smoothed_gradient(K: np.ndarray, c: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
@@ -113,6 +143,7 @@ def smoothed_grad(
     particles: np.ndarray,
     target: EvidentialTarget,
     kernel: KernelConfig = KernelConfig(),
+    mix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kernel-smoothed score of the target, one row per particle.
 
@@ -120,8 +151,8 @@ def smoothed_grad(
     + (2/h)(theta^n - theta^m) k(theta^n, theta^m) ].  With a single particle
     the kernel terms vanish and the row equals the raw score exactly.
     """
-    theta, K, c = _kernel_terms(particles, kernel.scale)
-    return _smoothed_gradient(K, c, target.derivatives(theta)[0], kernel.scale)
+    theta, K, c = _kernel_terms(particles, target, kernel.scale, mix)
+    return _mix(mix, _smoothed_gradient(K, c, target.derivatives(theta)[0], kernel.scale), 2)
 
 
 def hess_diag(
@@ -135,7 +166,7 @@ def hess_diag(
     + ((2/h)(theta^n - theta^m) k)^2 ], elementwise in the d coordinates, for
     curv the diagonal of the log Hessian.
     """
-    theta, K, c = _kernel_terms(particles, kernel.scale)
+    theta, K, c = _kernel_terms(particles, target, kernel.scale, None)
     return _smoothed_curvature(K, c, target.derivatives(theta, "diag")[1], kernel.scale)
 
 
@@ -143,20 +174,22 @@ def diag_newton(
     particles: np.ndarray,
     target: EvidentialTarget,
     kernel: KernelConfig = KernelConfig(),
+    mix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coordinate-wise Newton direction smoothed_grad / max(hess_diag, floor)."""
-    theta, K, c = _kernel_terms(particles, kernel.scale)
+    theta, K, c = _kernel_terms(particles, target, kernel.scale, mix)
     score, curv = target.derivatives(theta, "diag")
-    g = _smoothed_gradient(K, c, score, kernel.scale)
-    h = _smoothed_curvature(K, c, curv, kernel.scale)
+    g = _mix(mix, _smoothed_gradient(K, c, score, kernel.scale), 2)
+    h = _mix(mix, _smoothed_curvature(K, c, curv, kernel.scale), 2)
     with np.errstate(invalid="ignore"):  # inf / inf: boosting._direction names the row
-        return g / np.maximum(h, CURVATURE_FLOOR)
+        return np.divide(g, np.maximum(h, CURVATURE_FLOOR, out=h), out=g)
 
 
 def full_newton(
     particles: np.ndarray,
     target: EvidentialTarget,
     kernel: KernelConfig = KernelConfig(),
+    mix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full smoothed-Newton direction K H^{-1} g, reshaped to rows.
 
@@ -170,17 +203,18 @@ def full_newton(
     failed solve is retried once with a ridge of RIDGE_SCALE * mean |diag H|; a
     non-finite H or a second failure raises NumericError naming the datum.
     """
-    theta, K, c = _kernel_terms(particles, kernel.scale)
+    theta, K, c = _kernel_terms(particles, target, kernel.scale, mix)
     n, d = theta.shape[-2], theta.shape[-1]
 
     score, hess = target.derivatives(theta, "full")
-    g = _smoothed_gradient(K, c, score, kernel.scale)
+    g = _mix(mix, _smoothed_gradient(K, c, score, kernel.scale), 2)
     diff = theta[..., :, None, :] - theta[..., None, :, :]
     R = (2.0 / kernel.scale) * diff * K[..., None]  # R[n, m] of each pair, for the blocks below
 
     blocks = np.einsum("...nm,...km,...mij->...nkij", K, K, -hess)
     blocks += np.einsum("...nmi,...kmj->...nkij", R, R)
     blocks /= n
+    blocks = _mix(mix, blocks, 4)
     # a categorical Hessian does not depend on the label, so it may lack the D axis of g
     lead = np.broadcast_shapes(blocks.shape[:-4], g.shape[:-2])
     H = np.broadcast_to(blocks, lead + blocks.shape[-4:])
@@ -233,16 +267,17 @@ def langevin_direction(
     target: EvidentialTarget,
     rate: float,
     rng: np.random.Generator,
+    mix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score plus sqrt(2 / rate) i.i.d. standard normal noise per entry.
 
     Applying the result as theta + rate * direction performs one unadjusted
     Langevin step theta + rate * score + sqrt(2 * rate) * xi.
     """
-    theta = _check_particles(particles)
+    theta = _check_particles(particles, target, mix)
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    scores, _ = target.derivatives(theta)
+    scores = _mix(mix, target.derivatives(theta)[0], 2)
     return scores + np.sqrt(2.0 / rate) * rng.standard_normal(scores.shape)
 
 
@@ -254,15 +289,17 @@ def compute_direction(
     *,
     rate: float | None = None,
     rng: np.random.Generator | None = None,
+    mix: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dispatch on DirectionKind.  Langevin needs ``rate`` and ``rng``."""
+    """Dispatch on DirectionKind.  Langevin needs ``rate`` and ``rng``.  ``mix``
+    maps the target's rows to the D rows of the result (see the module docstring)."""
     kind = DirectionKind(kind)
     if kind is DirectionKind.FIRST_ORDER:
-        return smoothed_grad(particles, target, kernel)
+        return smoothed_grad(particles, target, kernel, mix)
     if kind is DirectionKind.DIAG_NEWTON:
-        return diag_newton(particles, target, kernel)
+        return diag_newton(particles, target, kernel, mix)
     if kind is DirectionKind.FULL_NEWTON:
-        return full_newton(particles, target, kernel)
+        return full_newton(particles, target, kernel, mix)
     if rate is None or rng is None:
         raise ValueError("langevin direction needs a rate and a random generator")
-    return langevin_direction(particles, target, rate, rng)
+    return langevin_direction(particles, target, rate, rng, mix)

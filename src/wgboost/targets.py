@@ -11,6 +11,18 @@ All methods accept parameter arrays of shape (..., d) and broadcast.  A single
 instance may carry one response (scalar ``y``) or a column of D responses, in
 which case a (N, d) particle array evaluates to a (D, N, ...) result.  That is
 the batching convention the boosting loop relies on.
+
+A target may also give ``basis()``, which the initializer reads.  There all D
+data share one particle set theta, and their derivatives differ only through
+the response.  ``basis()`` returns U row indices and a (D, U) matrix ``mix``
+such that, at any shared theta, datum d's score and curvature equal
+sum_u mix[d, u] times those of row u; or None when it would save no rows.
+The initializer then does its kernel sums on U rows instead of D.  The
+built-in families derive theirs from the degree of their derivatives in the
+response (``_basis``): the categorical family's depend on the label alone (one
+row per label, a one-hot ``mix``, exact in floating point); the normal
+family's are quadratic in y and the Gaussian family's linear in its mean (three
+and two rows, with Lagrange weights, exact up to round-off).
 """
 
 from __future__ import annotations
@@ -62,7 +74,7 @@ def _check_theta(theta: np.ndarray, dim: int, curvature: str | None = None) -> n
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1] != dim:
         raise ValueError(f"parameter array has last dimension {theta.shape[-1]}, expected {dim}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("parameter array contains non-finite values")
     return theta
 
@@ -118,6 +130,11 @@ class NormalLocationScaleTarget(_Derivatives):
         return NormalLocationScaleTarget(
             np.atleast_1d(self.y)[idx], self.loc_scale, self.ig_shape, self.ig_rate
         )
+
+    def basis(self):
+        """Rows and mix for a shared theta (see the module docstring): the score, the
+        curvature and the cross term are quadratic in y."""
+        return _basis(self.y, 3)
 
     def _parts(self, theta: np.ndarray, curvature: str | None = None):
         theta = _check_theta(theta, 2, curvature)
@@ -199,6 +216,10 @@ class CategoricalTarget(_Derivatives):
     def take(self, idx) -> "CategoricalTarget":
         return CategoricalTarget(np.atleast_1d(self.y)[idx], self.k, self.prior_scale)
 
+    def basis(self):
+        """Rows and mix for a shared theta (see the module docstring): one row per label."""
+        return _basis(self.y, None)
+
     def _softmax(self, theta: np.ndarray):
         """The softmax's parts, stably via max subtraction: the class probabilities of
         the first k-1 classes are e / z, and the log normalizer is top + log z."""
@@ -259,6 +280,11 @@ class GaussianTarget(_Derivatives):
     def take(self, idx) -> "GaussianTarget":
         return GaussianTarget(np.atleast_1d(self.mean)[idx], self.var, self._ndim)
 
+    def basis(self):
+        """Rows and mix for a shared theta (see the module docstring): the score is
+        linear in the mean, the curvature constant."""
+        return _basis(self.mean, 2)
+
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         theta = _check_theta(theta, self._ndim)
         with np.errstate(over="ignore"):  # an overflowing square is a density of 0: -inf
@@ -275,6 +301,44 @@ class GaussianTarget(_Derivatives):
             return score, np.full(resid.shape, -1.0 / self.var)
         eye = np.eye(self._ndim) / self.var
         return score, np.broadcast_to(-eye, resid.shape[:-1] + eye.shape).copy()
+
+
+def _basis(v: np.ndarray, nodes: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """Basis rows and their (D, U) ``mix`` for data whose derivatives at a shared theta
+    are polynomials of degree ``nodes - 1`` (``nodes`` 2 or 3) in the per-datum value
+    ``v``, or, when ``nodes`` is None, depend on ``v`` alone.  None when D is at most
+    ``nodes``, or, with ``nodes`` None, the number of distinct values: such a basis
+    would save no rows.
+
+    With at most ``nodes`` distinct values (or ``nodes`` None) there is one row per
+    distinct value and ``mix`` is one-hot.  Otherwise the rows hold the smallest value,
+    for three nodes the value nearest the midpoint, and the largest, and ``mix`` holds
+    each datum's Lagrange weights on them, which interpolate a polynomial of that
+    degree exactly.  No datum lies nearer the midpoint than the middle node, so
+    every datum's weights are at most 1 in size, and a mixed row carries at most
+    three times the round-off of the basis rows.  At a node the weights are exactly
+    one-hot.  Weights that overflow give None.
+    """
+    v = np.atleast_1d(v)
+    distinct, first, which = np.unique(v, return_index=True, return_inverse=True)
+    if v.size <= (distinct.size if nodes is None else nodes):
+        return None
+    if nodes is None or distinct.size <= nodes:
+        rows, mix = first, (which[:, None] == np.arange(distinct.size)).astype(float)
+    else:
+        lo, hi = int(np.argmin(v)), int(np.argmax(v))
+        mid = [] if nodes == 2 else [int(np.argmin(np.abs(v - (0.5 * v[lo] + 0.5 * v[hi]))))]
+        rows = np.array([lo, *mid, hi])
+        t = v[rows]
+        mix = np.ones((v.size, rows.size))
+        with np.errstate(over="ignore", invalid="ignore"):  # a range past the float range
+            for u in range(rows.size):
+                for j in range(rows.size):
+                    if j != u:
+                        mix[:, u] *= (v - t[j]) / (t[u] - t[j])
+        if not np.isfinite(mix).all():
+            return None
+    return rows, mix
 
 
 def to_simplex(q: np.ndarray) -> np.ndarray:
@@ -301,7 +365,7 @@ def from_simplex(p: np.ndarray) -> np.ndarray:
 
 def _stack_last(*components: np.ndarray) -> np.ndarray:
     """Stack broadcast-compatible arrays along a new trailing axis."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in components))
+    shape = np.broadcast(*components).shape
     out = np.empty(shape + (len(components),))
     for j, c in enumerate(components):
         out[..., j] = c

@@ -15,7 +15,8 @@ that sorted order, together with their values of each feature in the same
 order, and its children get both by one stable partition of the node's.  A
 stable partition of a stable argsort is the stable argsort of the subset, so
 every split is the one a per-node sort would find.  The boosting loop
-presorts its rows once and hands the order to all the trees it fits.
+presorts its rows once, gathers the root's sorted values once, and hands both
+to all the trees it fits.
 
 A fitted tree is a one-tree :class:`PackedTrees`, the node table a model keeps
 for all of its trees; :class:`RegressionTree` adds its feature count, for
@@ -142,8 +143,9 @@ class TreePacker:
     tree at most are alive at a time.  A fault is recorded, not raised: the
     parser meets the trees in file order, before the model's feature count and
     particles, and :meth:`pack` checks every tree against those and names the
-    first faulty tree in the order it is given.  :meth:`pack` empties the
-    packer's lists as it turns them into arrays.
+    first faulty tree in the order it is given.  A tree object that is not
+    handed to :meth:`pack` sits where no tree belongs, and fails it too.
+    :meth:`pack` empties the packer's lists as it turns them into arrays.
     """
 
     def __init__(self):
@@ -152,6 +154,7 @@ class TreePacker:
         self.threshold: list[float] = []
         self.children: list[int] = []  # [right, left] pairs, flattened
         self.value: list[float] = []  # value rows, flattened; zeros at splits
+        self.added = 0  # tree objects added, the ones handed to pack and any others
 
     def hook(self, obj: dict):
         """The ``object_hook``: a tree object is packed, any other object returned as it is."""
@@ -159,6 +162,7 @@ class TreePacker:
 
     def add(self, doc) -> _Tree:
         """Pack one tree object, or record why it is not one."""
+        self.added += 1
         tree = _Tree()
         tree.start, tree.value_start, tree.size = len(self.feature), len(self.value), 0
         tree.n_features = tree.dims = tree.error = None
@@ -212,24 +216,27 @@ class TreePacker:
         float threshold (not NaN), an integer feature in [0, n_features), and
         below 2**31, and integer children after it, so that routing always ends
         at a leaf.  The error names the first faulty tree as ``name(t)``, t its
-        position in ``trees``.
+        position in ``trees``.  Every tree object the packer has added must be
+        among ``trees``: one that is not sits outside the model's ``ensembles``.
         """
         trees = [t if type(t) is _Tree else self.add(t) for t in trees]
-        if not trees:
-            return pack_trees([])
         for t, tree in enumerate(trees):
             if tree.error is not None:
                 raise DataError(name(t) + tree.error)
             if tree.n_features != n_features or tree.dims != (dim,):
                 raise DataError(f"{name(t)} has n_features {tree.n_features} and leaf lengths "
                                 f"{list(tree.dims)}; the model needs {n_features} and [{dim}]")
+        if self.added != len(trees):
+            raise DataError("a tree object (an object with 'nodes') sits outside 'ensembles'")
+        if not trees:
+            return pack_trees([])
         try:
-            values = _drain(self.value)  # no dtype: strings or nulls must not convert
-        except ValueError as err:  # nested lists of uneven shape
-            raise DataError(f"tree leaf 'value' entries must be lists of numbers: {err}") from None
-        if values.dtype.kind not in "fi" or values.ndim != 1:
-            raise DataError(f"tree leaf 'value' entries must be lists of numbers, got "
-                            f"{values.dtype} entries")
+            values = np.array(self.value)  # no dtype: strings or nulls must not convert
+        except ValueError:  # nested lists of uneven shape
+            values = None
+        if values is None or values.dtype.kind not in "fi" or values.ndim != 1:
+            raise DataError(self._not_a_number(trees, dim, name))
+        self.value.clear()
         start, value_start, size = (np.array([getattr(tree, key) for tree in trees])
                                     for key in ("start", "value_start", "size"))
         roots = np.cumsum(size) - size  # each tree's root in the packed set
@@ -246,8 +253,16 @@ class TreePacker:
         return PackedTrees(feature, threshold, children, value, roots,
                            len(_levels(feature, children[:, 1], children[:, 0], roots)) - 1)
 
+    def _not_a_number(self, trees: list[_Tree], dim: int, name: Callable[[int], str]) -> str:
+        """The message naming the first leaf value of ``trees`` that is not a number."""
+        bad = next((i for i, v in enumerate(self.value) if type(v) not in (int, float)), None)
+        for t, tree in enumerate(trees):
+            if bad is not None and tree.value_start <= bad < tree.value_start + tree.size * dim:
+                return f"{name(t)} has a leaf value that is not a number: {self.value[bad]!r}"
+        return "tree leaf 'value' entries must be lists of numbers"
 
-def _drain(items: list, dtype=None) -> np.ndarray:
+
+def _drain(items: list, dtype) -> np.ndarray:
     """``items`` as an array, emptying the list: its number objects take several times the room."""
     out = np.array(items, dtype=dtype)
     items.clear()
@@ -333,8 +348,13 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
 
 
+def sorted_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Each feature's values of X (D, p) in the order ``order = presort(X)``: a (p, D) array."""
+    return np.take_along_axis(np.ascontiguousarray(np.asarray(X, dtype=float).T), order, axis=1)
+
+
 def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
-             order: np.ndarray | None = None) -> PackedTrees:
+             order: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None) -> PackedTrees:
     """Fit a tree to features X (D, p) and targets Y (D, d): a one-tree set, roots of shape ().
 
     Every leaf value is the exact mean of the target rows routed to it.  A
@@ -344,7 +364,8 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     ``order`` is ``presort(X)``, for callers that fit many trees on one X;
     it is computed here when None.  Only its shape, (p, D), is checked.
     Such callers also pass X column-major (``np.asfortranarray``), which
-    spares every tree a transposed copy.
+    spares every tree a transposed copy, and may pass the pair
+    ``(order, sorted_columns(X, order))``, which spares it the root's gather.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -360,11 +381,15 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
         raise DataError("tree features contain non-finite values")
     if not np.all(np.isfinite(Y)):
         raise DataError("tree targets contain non-finite values")
+    order, xs = order if type(order) is tuple else (order, None)
     if order is None:
         order = presort(X)
     elif np.shape(order) != X.shape[::-1]:
         raise ValueError(f"order must be presort(X), of shape {X.shape[::-1]}, got "
                          f"{np.shape(order)}")
+    if xs is not None and np.shape(xs) != X.shape[::-1]:
+        raise ValueError(f"sorted values must be sorted_columns(X, order), of shape "
+                         f"{X.shape[::-1]}, got {np.shape(xs)}")
     XT, YT, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T), np.ascontiguousarray(Y)
     p = XT.shape[0]
     max_depth, min_leaf = params.max_depth, params.min_samples_leaf
@@ -417,7 +442,9 @@ def fit_tree(X: np.ndarray, Y: np.ndarray, params: TreeParams = TreeParams(),
     # the split search redoes an overflow scaled (see _best_split); a leaf
     # mean whose sum overflows is inf, which the boosting loop reports
     with np.errstate(over="ignore", invalid="ignore"):
-        build(np.arange(X.shape[0]), order, np.take_along_axis(XT, order, axis=1), None, 0)
+        if xs is None:
+            xs = sorted_columns(XT.T, order)
+        build(np.arange(X.shape[0]), order, xs, None, 0)
     return PackedTrees(np.array(feature, dtype=np.int32), np.array(threshold),
                        np.array([right, left], dtype=np.int32).T.copy(), np.array(value),
                        np.zeros((), dtype=np.int32), deepest)

@@ -422,3 +422,42 @@ def test_each_direction_makes_one_derivatives_call(kind, batched):
     theta = rng.normal(size=(3, 4, 2) if batched else (4, 2))
     compute_direction(kind, theta, target, rate=0.1, rng=rng)
     assert target.calls == [curvature]
+
+
+def _mixed_and_per_row(kind, target, theta):
+    """One shared set's direction on the basis rows mixed into the data's, and on every row;
+    Langevin draws from two generators of one seed."""
+    rows, mix = target.basis()
+    mixed = compute_direction(kind, theta, target.take(rows), rate=0.1,
+                              rng=np.random.default_rng(5), mix=mix)
+    per_row = compute_direction(kind, theta, target, rate=0.1, rng=np.random.default_rng(5))
+    return mixed, per_row
+
+
+@pytest.mark.parametrize("kind", list(DirectionKind))
+def test_mixed_categorical_direction_is_the_per_row_one(kind):
+    rng = np.random.default_rng(12)
+    target = CategoricalTarget(rng.integers(1, 4, 40), 3)
+    mixed, per_row = _mixed_and_per_row(kind, target, rng.normal(size=(5, 2)))
+    assert mixed.shape == (40, 5, 2) and np.array_equal(mixed, per_row)
+
+
+@pytest.mark.parametrize("kind", list(DirectionKind))
+def test_mixed_normal_direction_is_the_per_row_one_to_round_off(kind):
+    """Over 200 seeds the worst error, relative to the largest entry, was 5.4e-16
+    (first-order, Langevin), 2.0e-13 (diag-newton) and 4.4e-11 (full-newton, whose
+    solves amplify the round-off of its mixed Hessian blocks)."""
+    rng = np.random.default_rng(13)
+    target = NormalLocationScaleTarget(rng.standard_normal(40))
+    mixed, per_row = _mixed_and_per_row(kind, target, 0.5 * rng.normal(size=(4, 2)))
+    assert mixed.shape == (40, 4, 2)
+    tol = 1e-9 if kind is DirectionKind.FULL_NEWTON else 1e-12
+    assert np.max(np.abs(mixed - per_row)) <= tol * np.max(np.abs(per_row))
+
+
+def test_mix_needs_one_shared_set_and_a_column_per_target_row():
+    target = NormalLocationScaleTarget(np.zeros(3))
+    with pytest.raises(ValueError, match="mix must be"):
+        smoothed_grad(np.zeros((4, 2)), target, mix=np.ones((5, 2)))
+    with pytest.raises(ValueError, match="mix must be"):
+        diag_newton(np.zeros((3, 4, 2)), target, mix=np.ones((5, 3)))

@@ -9,7 +9,7 @@ from wgboost.boosting import (BoostConfig, InitConfig, fit, make_classification_
                               make_regression_targets, save_model)
 from wgboost.errors import DataError
 from wgboost.tree import (PackedTrees, RegressionTree, TreePacker, TreeParams, _squared_norms,
-                          fit_tree, pack_trees, presort, trees_to_dicts)
+                          fit_tree, pack_trees, presort, sorted_columns, trees_to_dicts)
 
 
 def brute_force_best_sse(X, Y, min_leaf=1):
@@ -390,6 +390,16 @@ def test_order_must_have_the_presort_shape():
         fit_tree(X, Y, order=presort(X).T)
     with pytest.raises(ValueError, match="presort"):
         fit_tree(X, Y, order=presort(X[:9]))
+
+
+def test_presorted_values_given_or_gathered_give_the_same_tree():
+    rng = np.random.default_rng(6)
+    X, Y = np.round(rng.normal(size=(40, 3)), 1), rng.normal(size=(40, 2))
+    order = presort(X)
+    got = fit_tree(X, Y, TreeParams(max_depth=3), (order, sorted_columns(X, order)))
+    assert trees_to_dicts(got, 3) == trees_to_dicts(fit_tree(X, Y, TreeParams(max_depth=3)), 3)
+    with pytest.raises(ValueError, match=r"must be sorted_columns\(X, order\), of shape \(3, 40\)"):
+        fit_tree(X, Y, order=(order, sorted_columns(X, order)[:, :9]))
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])
